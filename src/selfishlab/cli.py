@@ -50,21 +50,9 @@ import numpy as np
 
 from . import __version__
 from .errors import DivergentLead, InvalidConfig, InvalidParam, NoConvergence
-from .markov import (
-    q_at,
-    revenue_rates,
-    revenue_ratio,
-    stationary,
-    stationary_truncated_oracle,
-)
-from .probmodel import (
-    MiningParams,
-    ProtocolParams,
-    TransitionProbs,
-    apply_fix,
-    derive_transition_probs,
-    lambda_from_protocol,
-)
+from .markov import is_profitable, q_at, stationary, stationary_truncated_oracle
+from .probmodel import (MiningParams, ProtocolParams, TransitionProbs, apply_fix,
+                        lambda_from_protocol)
 from .simulator import ACCOUNTING_MODES, VARIANTS, SimConfig, compare_to_analytic, simulate
 from .sweep import SweepGrid, profit_threshold, resistance_sweep
 
@@ -119,18 +107,15 @@ def _resolve_params(args: argparse.Namespace) -> tuple[MiningParams, dict[str, A
 
 def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, dict, int]:
     params, inputs = _resolve_params(args)
-    probs = derive_transition_probs(params)
-    dist = stationary(probs)
-    r_a, r_b = revenue_rates(dist, probs, params.gamma)
-    ratio = revenue_ratio(dist, params.gamma)
+    report = is_profitable(params)
     results = {
-        "q0": dist.q0,
-        "q1": dist.q1,
-        "rho": dist.rho,
-        "r_a": r_a,
-        "r_b": r_b,
-        "ratio": ratio,
-        "profitable": ratio > params.alpha,
+        "q0": report.dist.q0,
+        "q1": report.dist.q1,
+        "rho": report.dist.rho,
+        "r_a": report.r_a,
+        "r_b": report.r_b,
+        "ratio": report.ratio,
+        "profitable": report.profitable,
     }
     return inputs, results, EXIT_OK
 
@@ -223,10 +208,9 @@ def _cmd_fix(args: argparse.Namespace) -> tuple[dict, dict, int]:
                               "multiplier": args.multiplier}
 
     def describe(params: MiningParams) -> dict[str, Any]:
-        dist = stationary(derive_transition_probs(params))
-        ratio = revenue_ratio(dist, params.gamma)
+        report = is_profitable(params)
         return {"lambda": params.lam, "gamma": params.gamma,
-                "ratio": ratio, "profitable": ratio > params.alpha}
+                "ratio": report.ratio, "profitable": report.profitable}
 
     before = describe(base)
     after = describe(fixed)

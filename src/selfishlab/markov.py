@@ -6,9 +6,9 @@ state 0, ``p2`` extends an existing lead, ``p3`` shrinks it by one, and
 all remaining mass is a self-loop.  When ``p2 < p3`` the chain is positive
 recurrent with
 
-    q0  = (p3 - p2) / (p3 - p2 + p0)
+    q0  = (1 - rho) / (1 - rho + p0 / p3),   rho = p2 / p3
     q1  = (p0 / p3) * q0
-    q_k = q1 * rho**(k - 1),   rho = p2 / p3,   k >= 1
+    q_k = q1 * rho**(k - 1),   k >= 1
 
 satisfying the balance equations ``p0*q0 = p3*q1`` and
 ``p2*q_k = p3*q_{k+1}``.  If ``p2 >= p3`` the lead drifts upward - the
@@ -22,6 +22,11 @@ Revenue is tallied per resolution event in units of one block reward:
 * a collapse from lead 2 pays the attacker two rewards,
 * each further step down from lead >= 3 pays the attacker one reward
   (the block is committed even though it is cashed in later).
+
+Since ``1 - q0 = q1 / (1 - rho)``, the attacker's share of the counted
+revenue depends on rho and gamma alone, rising from gamma at rho = 0 to 1:
+
+    share = (gamma*(1 - rho) + rho*(2 - rho)) / (1 + rho*(1 - rho))
 
 In this stylized accounting honest miners are credited only for won
 races, so the attacker's revenue share never falls below one half when
@@ -43,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentLead, InvalidParam, NoConvergence
-from .probmodel import MiningParams, TransitionProbs, derive_transition_probs
+from .probmodel import MiningParams, TransitionProbs, derive_transition_probs, lead_ratio
 
 __all__ = [
     "TransitionProbs",
@@ -53,6 +58,7 @@ __all__ = [
     "q_at",
     "revenue_rates",
     "revenue_ratio",
+    "share_verdict",
     "is_profitable",
     "stationary_truncated_oracle",
 ]
@@ -82,12 +88,13 @@ class StationaryDist:
 
 @dataclass(frozen=True)
 class RevenueReport:
-    """Revenue rates per round (in block rewards) and the profitability verdict."""
+    """Revenue rates per round (in block rewards), verdict, and the distribution used."""
 
     r_a: float
     r_b: float
     ratio: float
     profitable: bool
+    dist: StationaryDist
 
 
 def stationary(probs: TransitionProbs) -> StationaryDist:
@@ -102,9 +109,9 @@ def stationary(probs: TransitionProbs) -> StationaryDist:
         raise DivergentLead(
             f"lead extension outpaces recovery (p2={probs.p2} >= p3={probs.p3}): "
             "attacker majority, no stationary lead distribution")
-    gap = probs.p3 - probs.p2
-    q0 = gap / (gap + probs.p0)
-    return StationaryDist(q0=q0, q1=(probs.p0 / probs.p3) * q0, rho=probs.p2 / probs.p3)
+    rho, opening = probs.p2 / probs.p3, probs.p0 / probs.p3
+    q0 = (1.0 - rho) / ((1.0 - rho) + opening)  # the 1 - rho that normalizes the tail
+    return StationaryDist(q0=q0, q1=opening * q0, rho=rho)
 
 
 def q_at(dist: StationaryDist, k: int) -> float:
@@ -123,32 +130,41 @@ def revenue_rates(dist: StationaryDist, probs: TransitionProbs,
     r_a = (gamma*q1 + 2*q2 + sum_{k>=3} q_k) * p3
     r_b = (1 - gamma) * q1 * p3
 
-    with the tail evaluated in closed form as 1 - q0 - q1 - q2.
+    with the geometric tail summed in closed form as q2 * rho / (1 - rho).
     """
     if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
         raise InvalidParam(f"gamma must be in [0, 1], got {gamma}")
     q2 = dist.q1 * dist.rho
-    tail = max(0.0, 1.0 - dist.q0 - dist.q1 - q2)
+    tail = q2 * dist.rho / (1.0 - dist.rho)
     r_a = (gamma * dist.q1 + 2.0 * q2 + tail) * probs.p3
     r_b = (1.0 - gamma) * dist.q1 * probs.p3
     return r_a, r_b
 
 
+def _share(rho: float, gamma: float) -> float:
+    # 1 + rho*(1 - rho) written as attacker + honest revenue keeps the share in [0, 1]
+    attacker = gamma * (1.0 - rho) + rho * (2.0 - rho)
+    return attacker / (attacker + (1.0 - gamma) * (1.0 - rho))
+
+
 def revenue_ratio(dist: StationaryDist, gamma: float) -> float:
     """Attacker's share of all counted revenue, r_a / (r_a + r_b).
 
-    Evaluated in the closed form 1 - 2*(1-gamma)*q1 / (2 - 2*q0 + 2*q2),
-    which the revenue rates reduce to after cancelling p3.  When the whole
-    mass sits at lead 0 the share is 0/0; it is defined as 0 because no
-    withheld block is ever published.
+    A function of ``dist.rho`` and gamma only; at rho = 0 it takes its limit
+    gamma, the share of an attacker that mines however rarely.
     """
     if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
         raise InvalidParam(f"gamma must be in [0, 1], got {gamma}")
-    q2 = dist.q1 * dist.rho
-    denominator = 2.0 - 2.0 * dist.q0 + 2.0 * q2
-    if denominator <= 0.0:
-        return 0.0
-    return 1.0 - 2.0 * (1.0 - gamma) * dist.q1 / denominator
+    return _share(dist.rho, gamma)
+
+
+def share_verdict(params: MiningParams) -> tuple[float, bool]:
+    """The share and verdict of ``is_profitable``, with rho from ``lead_ratio``."""
+    if params.alpha >= 0.5:
+        raise DivergentLead(f"alpha={params.alpha} >= 1/2: attacker majority, no stationary lead")
+    # rho < 1 for alpha < 1/2, but it may round to a few ulps above 1 next to 1/2
+    share = _share(min(lead_ratio(params), 1.0), params.gamma)
+    return share, share > params.alpha
 
 
 def is_profitable(params: MiningParams) -> RevenueReport:
@@ -161,9 +177,8 @@ def is_profitable(params: MiningParams) -> RevenueReport:
     probs = derive_transition_probs(params)
     dist = stationary(probs)
     r_a, r_b = revenue_rates(dist, probs, params.gamma)
-    ratio = revenue_ratio(dist, params.gamma)
-    return RevenueReport(r_a=r_a, r_b=r_b, ratio=ratio,
-                         profitable=ratio > params.alpha)
+    ratio, profitable = share_verdict(params)
+    return RevenueReport(r_a=r_a, r_b=r_b, ratio=ratio, profitable=profitable, dist=dist)
 
 
 def _truncated_matrix(probs: TransitionProbs, K: int) -> np.ndarray:

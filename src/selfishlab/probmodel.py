@@ -16,16 +16,17 @@ additional height), so each side's round outcome is Bernoulli:
 Treating the two sides' discoveries as independent within a round yields
 the four transition probabilities of the private-lead state machine:
 
-    p0 = p_attacker * (1 - p_honest)    lead opens from state 0
-    p1 = p_attacker * p_honest          both find; lead unchanged
-    p2 = p_attacker * (1 - p_honest)    lead extends from state k >= 1
-    p3 = (1 - p_attacker) * p_honest    honest side closes the lead by one
+    p0 = p_attacker * exp(-(1 - alpha) * lam)   lead opens from state 0
+    p1 = p_attacker * p_honest                  both find; lead unchanged
+    p2 = p_attacker * exp(-(1 - alpha) * lam)   lead extends from state k >= 1
+    p3 = exp(-alpha * lam) * p_honest           honest side closes the lead by one
 
 ``p0`` and ``p2`` are the same per-round event seen from different states,
 so this mapping always produces them equal; they are stored separately
 because the state machine treats the two transitions as distinct.  The
 leftover mass ``(1 - p_attacker) * (1 - p_honest)`` is the idle self-loop
-and carries no name.
+and carries no name.  ``lead_ratio`` gives ``rho = p2 / p3``, which alone
+sets the revenue share, even where p2 and p3 underflow.
 
 The Poisson split is the one modelling assumption added here on top of the
 protocol parameters: proof-of-work inter-solution times are exponential,
@@ -49,6 +50,7 @@ __all__ = [
     "lambda_from_protocol",
     "round_success_probs",
     "derive_transition_probs",
+    "lead_ratio",
     "apply_fix",
 ]
 
@@ -167,13 +169,25 @@ def round_success_probs(params: MiningParams) -> RoundProbs:
 def derive_transition_probs(params: MiningParams) -> TransitionProbs:
     """Map mining parameters to the lead machine's transition probabilities."""
     rp = round_success_probs(params)
-    extend = rp.p_attacker * (1.0 - rp.p_honest)
+    extend = rp.p_attacker * math.exp(-(1.0 - params.alpha) * params.lam)
     return TransitionProbs(
         p0=extend,
         p1=rp.p_attacker * rp.p_honest,
         p2=extend,
-        p3=(1.0 - rp.p_attacker) * rp.p_honest,
+        p3=math.exp(-params.alpha * params.lam) * rp.p_honest,
     )
+
+
+def lead_ratio(params: MiningParams) -> float:
+    """rho = p2 / p3 = expm1(a) / expm1(b), with a = alpha*lam and b = (1-alpha)*lam.
+
+    Evaluated as exp(a - b) * (a / b) * f(a) / f(b) with f(x) = (1 - exp(-x)) / x,
+    which cannot overflow and loses no digits when a falls below the normal range.
+    """
+    alpha, lam = params.alpha, params.lam
+    a, b = alpha * lam, (1.0 - alpha) * lam
+    f_a, f_b = (-math.expm1(-a) / a if a else 1.0), (-math.expm1(-b) / b if b else 1.0)
+    return math.exp((2.0 * alpha - 1.0) * lam) * alpha / (1.0 - alpha) * f_a / f_b
 
 
 def apply_fix(params: MiningParams, header_multiplier: float) -> MiningParams:

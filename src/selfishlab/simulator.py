@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .markov import q_at, revenue_ratio, stationary
-from .probmodel import MiningParams, derive_transition_probs, round_success_probs
+from .markov import is_profitable, q_at
+from .probmodel import MiningParams, round_success_probs
 
 __all__ = [
     "CHUNK_ROUNDS",
@@ -303,9 +303,8 @@ def compare_to_analytic(config: SimConfig, *, workers: int = 1) -> ComparisonRep
     if config.accounting != "paper":
         raise InvalidConfig("analytic comparison is defined for paper accounting only")
     result = simulate(config, workers=workers)
-
-    dist = stationary(derive_transition_probs(config.params))
-    analytic = revenue_ratio(dist, config.params.gamma)
+    report = is_profitable(config.params)
+    analytic, dist = report.ratio, report.dist
 
     difference = result.ratio - analytic
     if result.ratio_stderr > 0.0:

@@ -2,8 +2,8 @@
 
 ``profit_threshold`` finds the smallest attacker power share at which the
 analytic revenue share exceeds the power share itself.  No monotonicity is
-assumed: a coarse scan over the admissible range locates the lowest sign
-change of ``f(alpha) = share(alpha) - alpha`` and bisection refines it.
+assumed: a coarse scan over the admissible range locates the lowest alpha
+that ``markov.share_verdict`` calls profitable, and bisection refines it.
 ``resistance_sweep`` maps that threshold over a grid of protocol
 parameters, since tenure length and header difficulty determine the round
 intensity and therefore the whole attack model.
@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParam
-from .markov import revenue_ratio, stationary
-from .probmodel import MiningParams, ProtocolParams, derive_transition_probs, lambda_from_protocol
+from .markov import share_verdict
+from .probmodel import MiningParams, ProtocolParams, lambda_from_protocol
 
 __all__ = [
     "GRID_POINTS",
@@ -29,8 +29,8 @@ __all__ = [
 ]
 
 GRID_POINTS = 64
-# keeps the scan away from the degenerate alpha->0 share and the
-# divergent alpha->1/2 boundary
+# alpha_star = 0 means profitable already at this share (the share is regular
+# as alpha -> 0, with limit gamma); the top stays off the divergent alpha -> 1/2
 ALPHA_GUARD = 1e-4
 
 
@@ -42,7 +42,7 @@ class ThresholdResult:
     when none is; in both degenerate cases the bracket collapses onto the
     returned value.  Otherwise the bracket is the final bisection interval
     (width <= tol) containing the crossing, and ``evaluations`` counts the
-    analytic pipeline evaluations spent.
+    share evaluations spent.
     """
 
     alpha_star: float
@@ -86,12 +86,6 @@ class SweepCell:
     alpha_star: float
 
 
-def _share_minus_alpha(alpha: float, lam: float, gamma: float) -> float:
-    params = MiningParams(alpha=alpha, lam=lam, gamma=gamma)
-    dist = stationary(derive_transition_probs(params))
-    return revenue_ratio(dist, gamma) - alpha
-
-
 def profit_threshold(lam: float, gamma: float, tol: float = 1e-6) -> ThresholdResult:
     """Locate the smallest alpha in (0, 1/2) where withholding is profitable."""
     if not (math.isfinite(lam) and lam > 0.0):
@@ -101,17 +95,20 @@ def profit_threshold(lam: float, gamma: float, tol: float = 1e-6) -> ThresholdRe
     if not (math.isfinite(tol) and tol >= 1e-8):
         raise InvalidParam(f"tol must be at least 1e-8, got {tol}")
 
+    def profitable(alpha: float) -> bool:
+        return share_verdict(MiningParams(alpha=alpha, lam=lam, gamma=gamma))[1]
+
     low, high = ALPHA_GUARD, 0.5 - ALPHA_GUARD
     step = (high - low) / (GRID_POINTS - 1)
     grid = [low + i * step for i in range(GRID_POINTS)]
-    values = [_share_minus_alpha(alpha, lam, gamma) for alpha in grid]
+    values = [profitable(alpha) for alpha in grid]
     evaluations = GRID_POINTS
 
-    if values[0] > 0.0:
+    if values[0]:
         # already profitable at the smallest probed share
         return ThresholdResult(alpha_star=0.0, bracket=(0.0, 0.0), evaluations=evaluations)
 
-    crossing = next((i for i in range(1, GRID_POINTS) if values[i] > 0.0), None)
+    crossing = next((i for i in range(1, GRID_POINTS) if values[i]), None)
     if crossing is None:
         return ThresholdResult(alpha_star=0.5, bracket=(0.5, 0.5), evaluations=evaluations)
 
@@ -119,7 +116,7 @@ def profit_threshold(lam: float, gamma: float, tol: float = 1e-6) -> ThresholdRe
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         evaluations += 1
-        if _share_minus_alpha(mid, lam, gamma) > 0.0:
+        if profitable(mid):
             hi = mid
         else:
             lo = mid

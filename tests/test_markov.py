@@ -76,8 +76,10 @@ def test_revenue_ratio_golden_case():
 
 
 def test_revenue_ratio_convention_at_degenerate_dist():
+    # the share depends on rho alone, and gamma is its only continuous value
+    # at rho = 0: an attacker that mines however rarely wins gamma of its races
     dist = StationaryDist(q0=1.0, q1=0.0, rho=0.0)
-    assert revenue_ratio(dist, 0.5) == 0.0
+    assert revenue_ratio(dist, 0.5) == 0.5
     assert revenue_ratio(dist, 0.0) == 0.0
 
 

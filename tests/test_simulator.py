@@ -104,9 +104,18 @@ def test_compare_to_analytic_within_noise():
 
 
 def test_compare_to_analytic_degenerate_zero():
-    # an attacker share this small underflows to a never-mining pool, so
-    # both the estimate and the closed form are exactly zero
+    # p_attacker = 1e-303: the pool mines, so the closed form takes its
+    # rho -> 0 limit gamma, but ten thousand rounds never sample the event
     config = SimConfig(params=MiningParams(alpha=1e-300, lam=1e-3, gamma=0.5),
+                       rounds=10_000, seed=5)
+    report = compare_to_analytic(config)
+    assert report.ratio_mc == 0.0
+    assert report.ratio_analytic == 0.5
+    assert report.z_score == -math.inf
+
+    # rho = e^-980 rounds to 0 and the honest side finds in every round, so
+    # no lead ever opens: both shares are exactly zero and agree
+    config = SimConfig(params=MiningParams(alpha=0.01, lam=1000.0, gamma=0.0),
                        rounds=10_000, seed=5)
     report = compare_to_analytic(config)
     assert report.ratio_mc == 0.0
