@@ -158,26 +158,40 @@ def revenue_ratio(dist: StationaryDist, gamma: float) -> float:
     return _share(dist.rho, gamma)
 
 
-def share_verdict(params: MiningParams) -> tuple[float, bool]:
-    """The share and verdict of ``is_profitable``, with rho from ``lead_ratio``."""
+def _lead_ratio(params: MiningParams) -> float:
     if params.alpha >= 0.5:
         raise DivergentLead(f"alpha={params.alpha} >= 1/2: attacker majority, no stationary lead")
+    return lead_ratio(params)
+
+
+def _verdict(params: MiningParams, rho: float) -> tuple[float, bool]:
     # rho < 1 for alpha < 1/2, but it may round to a few ulps above 1 next to 1/2
-    share = _share(min(lead_ratio(params), 1.0), params.gamma)
+    share = _share(min(rho, 1.0), params.gamma)
     return share, share > params.alpha
+
+
+def share_verdict(params: MiningParams) -> tuple[float, bool]:
+    """The share and verdict of ``is_profitable``, with rho from ``lead_ratio``."""
+    return _verdict(params, _lead_ratio(params))
 
 
 def is_profitable(params: MiningParams) -> RevenueReport:
     """Full analytic pipeline: params -> probabilities -> revenue verdict.
 
     Profitable means the attacker's revenue share exceeds its power share
-    ``alpha``, i.e. withholding beats mining honestly.  Raises
-    DivergentLead when alpha >= 1/2.
+    ``alpha``, i.e. withholding beats mining honestly.  The distribution is
+    built from rho alone (q0 = 1 - rho, q1 = rho * q0, since p0 = p2), so it
+    keeps its digits where p2 underflows.  Raises DivergentLead when
+    alpha >= 1/2, or when rho rounds to 1 or above just below 1/2.
     """
-    probs = derive_transition_probs(params)
-    dist = stationary(probs)
-    r_a, r_b = revenue_rates(dist, probs, params.gamma)
-    ratio, profitable = share_verdict(params)
+    rho = _lead_ratio(params)
+    if rho >= 1.0:
+        raise DivergentLead(f"rho = p2/p3 rounds to {rho!r} at alpha={params.alpha!r}, "
+                            f"lam={params.lam!r}: no stationary lead distribution in "
+                            "floating point")
+    dist = StationaryDist(q0=1.0 - rho, q1=rho * (1.0 - rho), rho=rho)
+    r_a, r_b = revenue_rates(dist, derive_transition_probs(params), params.gamma)
+    ratio, profitable = _verdict(params, rho)
     return RevenueReport(r_a=r_a, r_b=r_b, ratio=ratio, profitable=profitable, dist=dist)
 
 

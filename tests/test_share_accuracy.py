@@ -104,6 +104,26 @@ def test_share_next_to_one_half():
         share_verdict(MiningParams(alpha=0.5, lam=1.0, gamma=0.0))
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.4127820745055908])
+def test_report_refuses_rho_rounded_to_one(lam):
+    # rho rounds to exactly 1 at lam = 0.5 and above 1 at the second point;
+    # the distribution would not normalize, which is a model error, not bad input
+    params = MiningParams(alpha=0.49999999999999994, lam=lam, gamma=0.0)
+    assert lead_ratio(params) >= 1.0
+    with pytest.raises(DivergentLead, match="rounds to"):
+        is_profitable(params)
+
+
+def test_report_distribution_uses_the_same_rho():
+    # p2 underflows at (1 - alpha) * lam > 745; q1 and rho used to read 0 here
+    report = is_profitable(MiningParams(alpha=0.2, lam=1000.0, gamma=0.0))
+    with mpmath.workdps(DIGITS):
+        rho = mpmath.expm1(mpmath.mpf(200)) / mpmath.expm1(mpmath.mpf(800))
+    assert relative_error(report.dist.rho, rho) <= 1e-12
+    assert report.dist.q1 == report.dist.rho * report.dist.q0
+    assert report.ratio == report.dist.rho * 2.0
+
+
 @pytest.mark.parametrize("alpha,lam,gamma", [
     (0.3, 1.0, 0.5), (0.3, 50.0, 0.0), (0.1, 2.0, 0.0), (0.45, 0.5, 1.0),
     (0.49, 5.0, 0.25), (1e-6, 1.0, 0.7), (0.2, 100.0, 0.5),
@@ -135,9 +155,15 @@ def test_threshold_brackets_the_reference_crossing(lam, alpha_star):
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--alpha", "0.4999999999", "--lambda", "1"],
+    ["analyze", "--alpha", "0.49999999999999994", "--lambda", "1"],
     ["analyze", "--alpha", "0.2", "--lambda", "1000"],
     ["threshold", "--lambda", "100", "--gamma", "0"],
 ])
 def test_cli_accepts_former_failures(capsys, argv):
     assert run(argv + ["--format", "json"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cli_rho_rounded_to_one_is_a_model_error(capsys):
+    assert run(["analyze", "--alpha", "0.49999999999999994", "--lambda", "0.5"]) == 3
+    assert "rounds to 1.0" in capsys.readouterr().err
