@@ -18,7 +18,8 @@ human|json|csv`` (default human) and ``--output PATH`` (default stdout).
 JSON output is a single envelope object ``{command, version, inputs,
 results}`` whose echoed inputs are sufficient to reproduce the run.
 
-CSV column orders (fixed per subcommand):
+CSV column orders (fixed per subcommand; each handler emits its rows with
+keys in this order, and one writer renders the rows of every subcommand):
 
 analyze    alpha,lambda,gamma,q0,q1,rho,r_a,r_b,ratio,profitable
 simulate   alpha,lambda,gamma,rounds,seed,accounting,variant,rounds_run,
@@ -103,9 +104,11 @@ def _resolve_params(args: argparse.Namespace) -> tuple[MiningParams, dict[str, A
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: return (inputs, results, exit_code)
+# subcommand handlers: return (inputs, results, rows, exit_code)
+# inputs and results make the JSON envelope and the human listing; rows are the
+# CSV rows, flat dicts keyed in the column order of the module docstring
 
-def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, dict, int]:
+def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
     params, inputs = _resolve_params(args)
     report = is_profitable(params)
     results = {
@@ -117,10 +120,11 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, dict, int]:
         "ratio": report.ratio,
         "profitable": report.profitable,
     }
-    return inputs, results, EXIT_OK
+    row = {key: inputs[key] for key in ("alpha", "lambda", "gamma")} | results
+    return inputs, results, [row], EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict, int]:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
     params, inputs = _resolve_params(args)
     inputs.update(rounds=args.rounds, seed=args.seed,
                   accounting=args.accounting, variant=args.variant)
@@ -133,12 +137,15 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict, int]:
         "revenue_b": result.revenue_b,
         "ratio": result.ratio,
         "ratio_stderr": result.ratio_stderr,
-        "occupancy": list(result.occupancy),
     }
-    return inputs, results, EXIT_OK
+    row = ({key: inputs[key] for key in ("alpha", "lambda", "gamma", "rounds", "seed",
+                                           "accounting", "variant")}
+           | results | {f"occ_{k}": share for k, share in enumerate(result.occupancy)})
+    results["occupancy"] = list(result.occupancy)
+    return inputs, results, [row], EXIT_OK
 
 
-def _cmd_threshold(args: argparse.Namespace) -> tuple[dict, dict, int]:
+def _cmd_threshold(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
     inputs = {"lambda": args.lam, "gamma": args.gamma, "tol": args.tol}
     found = profit_threshold(args.lam, args.gamma, args.tol)
     results = {
@@ -146,10 +153,12 @@ def _cmd_threshold(args: argparse.Namespace) -> tuple[dict, dict, int]:
         "bracket": list(found.bracket),
         "evaluations": found.evaluations,
     }
-    return inputs, results, EXIT_OK
+    row = inputs | {"alpha_star": found.alpha_star, "bracket_low": found.bracket[0],
+                    "bracket_high": found.bracket[1], "evaluations": found.evaluations}
+    return inputs, results, [row], EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict, int]:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
     grid = SweepGrid(tenures=tuple(args.tenures), difficulties=tuple(args.difficulties),
                      hashrate=args.hashrate, gamma=args.gamma)
     inputs: dict[str, Any] = {
@@ -172,7 +181,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict, int]:
             row.update(_mc_check_cell(cell.lam, cell.alpha_star, grid.gamma,
                                       args.mc_check, args.mc_seed))
         rows.append(row)
-    return inputs, {"cells": rows}, EXIT_OK
+    return inputs, {"cells": rows}, rows, EXIT_OK
 
 
 def _mc_check_cell(lam: float, alpha_star: float, gamma: float,
@@ -201,26 +210,25 @@ def _mc_check_cell(lam: float, alpha_star: float, gamma: float,
     return probes
 
 
-def _cmd_fix(args: argparse.Namespace) -> tuple[dict, dict, int]:
+def _cmd_fix(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
     base = MiningParams(alpha=args.alpha, lam=args.lam, gamma=0.5)
-    fixed = apply_fix(base, args.multiplier)
+    settings = (("before", base), ("after", apply_fix(base, args.multiplier)))
     inputs: dict[str, Any] = {"alpha": args.alpha, "lambda": args.lam,
                               "multiplier": args.multiplier}
-
-    def describe(params: MiningParams) -> dict[str, Any]:
-        report = is_profitable(params)
-        return {"lambda": params.lam, "gamma": params.gamma,
-                "ratio": report.ratio, "profitable": report.profitable}
-
-    before = describe(base)
-    after = describe(fixed)
     if args.rounds is not None:
         inputs.update(rounds=args.rounds, seed=args.seed)
-        for block, params in ((before, base), (after, fixed)):
+    results: dict[str, Any] = {"multiplier": args.multiplier}
+    row = {"alpha": args.alpha, "multiplier": args.multiplier}
+    for label, params in settings:
+        report = is_profitable(params)
+        block = results[label] = {"lambda": params.lam, "gamma": params.gamma,
+                                  "ratio": report.ratio, "profitable": report.profitable}
+        row.update((f"{key}_{label}", value) for key, value in block.items())
+        if args.rounds is not None:
             config = SimConfig(params=params, rounds=args.rounds, seed=args.seed)
             block["sim_ratio"] = simulate(config).ratio
-    results = {"multiplier": args.multiplier, "before": before, "after": after}
-    return inputs, results, EXIT_OK
+    row.update((f"sim_ratio_{label}", results[label].get("sim_ratio")) for label, _ in settings)
+    return inputs, results, [row], EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +286,15 @@ def _mc_suite(seed: int) -> dict[str, Any]:
             "max_abs_z": VERIFY_MAX_ABS_Z, "max_occupancy_linf": VERIFY_MAX_OCC_LINF}
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, int]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
     if args.cases < 1:
         raise InvalidParam(f"--cases must be at least 1, got {args.cases}")
     suites = [_oracle_suite(args.cases, args.seed), _mc_suite(args.seed)]
     failures = sum(suite["failures"] for suite in suites)
     results = {"suites": suites, "passed": failures == 0}
-    return ({"cases": args.cases, "seed": args.seed}, results,
+    rows = [{key: suite[key] for key in ("suite", "cases", "failures", "worst")}
+            for suite in suites]
+    return ({"cases": args.cases, "seed": args.seed}, results, rows,
             EXIT_OK if failures == 0 else EXIT_VERIFY)
 
 
@@ -312,30 +322,24 @@ def _kv_lines(mapping: dict[str, Any], indent: str = "  ") -> list[str]:
     return lines
 
 
-def _table_lines(header: list[str], rows: list[list[Any]]) -> list[str]:
-    cells = [header] + [[_fmt(v) if v is not None else "-" for v in row] for row in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+def _table_lines(rows: list[dict[str, Any]]) -> list[str]:
+    cells = [list(rows[0])] + [[_fmt(v) if v is not None else "-" for v in row.values()]
+                               for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(cells[0]))]
     return ["  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
             for row in cells]
 
 
 def _human(command: str, inputs: dict, results: dict) -> str:
-    lines = [f"command: {command}", "inputs:"]
-    lines.extend(_kv_lines(inputs))
+    lines = [f"command: {command}", "inputs:", *_kv_lines(inputs), "results:"]
     if command == "sweep":
-        lines.append("results:")
-        rows = results["cells"]
-        header = list(rows[0].keys())
-        lines.extend("  " + line
-                     for line in _table_lines(header, [[r[k] for k in header] for r in rows]))
+        lines.extend("  " + line for line in _table_lines(results["cells"]))
     elif command == "verify":
-        lines.append("results:")
         for suite in results["suites"]:
             detail = ", ".join(f"{k}={_fmt(v)}" for k, v in suite.items() if k != "suite")
             lines.append(f"  {suite['suite']}: {detail}")
         lines.append(f"  verdict = {'PASS' if results['passed'] else 'FAIL'}")
     else:
-        lines.append("results:")
         lines.extend(_kv_lines(results))
     return "\n".join(lines) + "\n"
 
@@ -348,62 +352,16 @@ def _csv_cell(value: Any) -> Any:
     return value
 
 
-def _csv_payload(command: str, inputs: dict, results: dict) -> tuple[list[str], list[list]]:
-    if command == "analyze":
-        header = ["alpha", "lambda", "gamma",
-                  "q0", "q1", "rho", "r_a", "r_b", "ratio", "profitable"]
-        row = [inputs["alpha"], inputs["lambda"], inputs["gamma"]] + \
-              [results[k] for k in header[3:]]
-        return header, [row]
-    if command == "simulate":
-        occupancy = results["occupancy"]
-        header = (["alpha", "lambda", "gamma", "rounds", "seed", "accounting", "variant",
-                   "rounds_run", "revenue_a", "revenue_b", "ratio", "ratio_stderr"]
-                  + [f"occ_{k}" for k in range(len(occupancy))])
-        row = [inputs[k] for k in ("alpha", "lambda", "gamma", "rounds", "seed",
-                                   "accounting", "variant")]
-        row += [results[k] for k in ("rounds_run", "revenue_a", "revenue_b",
-                                     "ratio", "ratio_stderr")]
-        row += occupancy
-        return header, [row]
-    if command == "threshold":
-        header = ["lambda", "gamma", "tol", "alpha_star",
-                  "bracket_low", "bracket_high", "evaluations"]
-        row = [inputs["lambda"], inputs["gamma"], inputs["tol"], results["alpha_star"],
-               results["bracket"][0], results["bracket"][1], results["evaluations"]]
-        return header, [row]
-    if command == "sweep":
-        rows = results["cells"]
-        header = list(rows[0].keys())
-        return header, [[row[k] for k in header] for row in rows]
-    if command == "verify":
-        header = ["suite", "cases", "failures", "worst"]
-        return header, [[suite[k] for k in header] for suite in results["suites"]]
-    if command == "fix":
-        header = ["alpha", "multiplier",
-                  "lambda_before", "gamma_before", "ratio_before", "profitable_before",
-                  "lambda_after", "gamma_after", "ratio_after", "profitable_after",
-                  "sim_ratio_before", "sim_ratio_after"]
-        before, after = results["before"], results["after"]
-        row = [inputs["alpha"], results["multiplier"],
-               before["lambda"], before["gamma"], before["ratio"], before["profitable"],
-               after["lambda"], after["gamma"], after["ratio"], after["profitable"],
-               before.get("sim_ratio"), after.get("sim_ratio")]
-        return header, [row]
-    raise ValueError(f"no CSV layout for command {command!r}")
-
-
-def _render(command: str, inputs: dict, results: dict, fmt: str) -> str:
+def _render(command: str, inputs: dict, results: dict, rows: list[dict], fmt: str) -> str:
     if fmt == "json":
         envelope = {"command": command, "version": __version__,
                     "inputs": inputs, "results": results}
         return json.dumps(envelope, indent=2) + "\n"
     if fmt == "csv":
-        header, rows = _csv_payload(command, inputs, results)
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([[_csv_cell(v) for v in row] for row in rows])
+        writer.writerow(rows[0])
+        writer.writerows([_csv_cell(v) for v in row.values()] for row in rows)
         return buffer.getvalue()
     return _human(command, inputs, results)
 
@@ -528,7 +486,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
-        inputs, results, code = args.handler(args)
+        inputs, results, rows, code = args.handler(args)
     except (InvalidParam, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -536,7 +494,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
 
-    text = _render(args.command, inputs, results, args.format)
+    text = _render(args.command, inputs, results, rows, args.format)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
@@ -551,3 +509,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -225,14 +225,13 @@ def _chunk_loop(a: np.ndarray, b: np.ndarray, tie: np.ndarray, gamma: float,
 
 def _simulate_chunk(p_attacker: float, p_honest: float, gamma: float,
                     accounting: str, variant: str, seed: int, index: int,
-                    rounds: int, force_loop: bool = False
-                    ) -> tuple[float, float, np.ndarray]:
+                    rounds: int) -> tuple[float, float, np.ndarray]:
     """One independent chunk: (revenue_a, revenue_b, occupancy counts)."""
     rng = _chunk_rng(seed, index)
     a = rng.random(rounds) < p_attacker
     b = rng.random(rounds) < p_honest
     tie = rng.random(rounds)
-    if accounting == "paper" and variant == "decrement" and not force_loop:
+    if accounting == "paper" and variant == "decrement":
         return _chunk_paper_vectorized(a, b, tie, gamma)
     return _chunk_loop(a, b, tie, gamma, accounting, variant)
 
@@ -293,7 +292,7 @@ def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
     )
 
 
-def compare_to_analytic(config: SimConfig, *, workers: int = 1) -> ComparisonReport:
+def compare_to_analytic(config: SimConfig) -> ComparisonReport:
     """Run a paper-accounting simulation and compare it to the closed form.
 
     The z-score normalizes the share discrepancy by the batch-means
@@ -302,7 +301,7 @@ def compare_to_analytic(config: SimConfig, *, workers: int = 1) -> ComparisonRep
     """
     if config.accounting != "paper":
         raise InvalidConfig("analytic comparison is defined for paper accounting only")
-    result = simulate(config, workers=workers)
+    result = simulate(config)
     report = is_profitable(config.params)
     analytic, dist = report.ratio, report.dist
 

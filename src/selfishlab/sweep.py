@@ -124,9 +124,10 @@ def profit_threshold(lam: float, gamma: float, tol: float = 1e-6) -> ThresholdRe
                            evaluations=evaluations)
 
 
-def resistance_sweep(grid: SweepGrid, tol: float = 1e-6) -> list[SweepCell]:
+def resistance_sweep(grid: SweepGrid) -> list[SweepCell]:
     """Threshold table over the grid, row-major with tenure outermost.
 
+    Each threshold is found by ``profit_threshold`` at its default tolerance.
     The round intensity is a sufficient statistic for the threshold, so
     cells sharing a lam value share their alpha_star bit for bit.
     """
@@ -137,7 +138,7 @@ def resistance_sweep(grid: SweepGrid, tol: float = 1e-6) -> list[SweepCell]:
             lam = lambda_from_protocol(ProtocolParams(
                 tenure=tenure, difficulty=difficulty, hashrate=grid.hashrate))
             if lam not in thresholds:
-                thresholds[lam] = profit_threshold(lam, grid.gamma, tol).alpha_star
+                thresholds[lam] = profit_threshold(lam, grid.gamma).alpha_star
             cells.append(SweepCell(tenure=tenure, difficulty=difficulty,
                                    lam=lam, alpha_star=thresholds[lam]))
     return cells

@@ -1,18 +1,9 @@
 import pytest
 
-from selfishlab.probmodel import TransitionProbs
-
-
-def _random_transition_probs(rng, rho_max=0.9):
-    """Valid transition probabilities with a stationary lead (p2 < p3)."""
-    rho = rng.uniform(0.0, rho_max)
-    # p2 + p3 = p3 * (1 + rho) must leave room for p1
-    p3 = rng.uniform(0.05, min(0.95, 1.0 / (1.0 + rho)))
-    p2 = rho * p3
-    p1 = rng.uniform(0.0, 1.0 - p2 - p3)
-    return TransitionProbs(p0=rng.uniform(0.0, 1.0), p1=p1, p2=p2, p3=p3)
+from selfishlab.cli import _random_transition_probs
 
 
 @pytest.fixture
 def make_probs():
+    """Valid transition probabilities with a stationary lead (p2 < p3)."""
     return _random_transition_probs

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +252,19 @@ def test_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_module_runs_from_an_uninstalled_checkout():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "selfishlab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    assert cli("analyze", "--alpha", "0.6", "--lambda", "1").returncode == 3
+    threshold = cli("threshold", "--lambda", "2", "--format", "csv")
+    assert threshold.returncode == 0
+    assert threshold.stdout.splitlines()[0] == (
+        "lambda,gamma,tol,alpha_star,bracket_low,bracket_high,evaluations")

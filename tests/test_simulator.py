@@ -9,7 +9,8 @@ from selfishlab.probmodel import MiningParams, derive_transition_probs, round_su
 from selfishlab.simulator import (
     CHUNK_ROUNDS,
     SimConfig,
-    _simulate_chunk,
+    _chunk_loop,
+    _chunk_paper_vectorized,
     compare_to_analytic,
     simulate,
 )
@@ -59,11 +60,12 @@ def test_chunk_scheduling_independence():
 ])
 def test_loop_matches_vectorized(alpha, lam, gamma, rounds):
     rp = round_success_probs(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
-    fast = _simulate_chunk(rp.p_attacker, rp.p_honest, gamma,
-                           "paper", "decrement", seed=77, index=0, rounds=rounds)
-    slow = _simulate_chunk(rp.p_attacker, rp.p_honest, gamma,
-                           "paper", "decrement", seed=77, index=0, rounds=rounds,
-                           force_loop=True)
+    rng = np.random.default_rng(77)
+    a = rng.random(rounds) < rp.p_attacker
+    b = rng.random(rounds) < rp.p_honest
+    tie = rng.random(rounds)
+    fast = _chunk_paper_vectorized(a, b, tie, gamma)
+    slow = _chunk_loop(a, b, tie, gamma, "paper", "decrement")
     assert fast[0] == slow[0]
     assert fast[1] == slow[1]
     assert np.array_equal(fast[2], slow[2])
