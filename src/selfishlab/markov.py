@@ -158,21 +158,18 @@ def revenue_ratio(dist: StationaryDist, gamma: float) -> float:
     return _share(dist.rho, gamma)
 
 
-def _lead_ratio(params: MiningParams) -> float:
+def _rho_verdict(params: MiningParams) -> tuple[float, float, bool]:
     if params.alpha >= 0.5:
         raise DivergentLead(f"alpha={params.alpha} >= 1/2: attacker majority, no stationary lead")
-    return lead_ratio(params)
-
-
-def _verdict(params: MiningParams, rho: float) -> tuple[float, bool]:
+    rho = lead_ratio(params)
     # rho < 1 for alpha < 1/2, but it may round to a few ulps above 1 next to 1/2
     share = _share(min(rho, 1.0), params.gamma)
-    return share, share > params.alpha
+    return rho, share, share > params.alpha
 
 
 def share_verdict(params: MiningParams) -> tuple[float, bool]:
     """The share and verdict of ``is_profitable``, with rho from ``lead_ratio``."""
-    return _verdict(params, _lead_ratio(params))
+    return _rho_verdict(params)[1:]
 
 
 def is_profitable(params: MiningParams) -> RevenueReport:
@@ -184,14 +181,13 @@ def is_profitable(params: MiningParams) -> RevenueReport:
     keeps its digits where p2 underflows.  Raises DivergentLead when
     alpha >= 1/2, or when rho rounds to 1 or above just below 1/2.
     """
-    rho = _lead_ratio(params)
+    rho, ratio, profitable = _rho_verdict(params)
     if rho >= 1.0:
         raise DivergentLead(f"rho = p2/p3 rounds to {rho!r} at alpha={params.alpha!r}, "
                             f"lam={params.lam!r}: no stationary lead distribution in "
                             "floating point")
     dist = StationaryDist(q0=1.0 - rho, q1=rho * (1.0 - rho), rho=rho)
     r_a, r_b = revenue_rates(dist, derive_transition_probs(params), params.gamma)
-    ratio, profitable = _verdict(params, rho)
     return RevenueReport(r_a=r_a, r_b=r_b, ratio=ratio, profitable=profitable, dist=dist)
 
 

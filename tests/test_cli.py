@@ -255,9 +255,7 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_runs_from_an_uninstalled_checkout():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
     def cli(*argv):
         return subprocess.run([sys.executable, "-m", "selfishlab.cli", *argv], env=env,
