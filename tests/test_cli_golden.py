@@ -29,6 +29,8 @@ COMMANDS = [
     "analyze --alpha 0.6 --lambda 1",
     "simulate --alpha 0.3 --lambda 1 --rounds 120000 --seed 7",
     "simulate --alpha 0.3 --lambda 1 --gamma 0.25 --rounds 120000 --seed 7 "
+    "--accounting full",
+    "simulate --alpha 0.3 --lambda 1 --gamma 0.25 --rounds 120000 --seed 7 "
     "--accounting full --variant reset",
     "threshold --lambda 2 --gamma 0",
     "threshold --lambda 2 --gamma 0.5",
