@@ -27,7 +27,8 @@ simulate   alpha,lambda,gamma,rounds,seed,accounting,variant,rounds_run,
 threshold  lambda,gamma,tol,alpha_star,bracket_low,bracket_high,evaluations
 sweep      tenure,difficulty,lambda,alpha_star
            (plus mc_alpha_low,mc_ratio_low,mc_alpha_high,mc_ratio_high,
-           mc_consistent when --mc-check is given)
+           mc_consistent when --mc-check is given; empty where a cell is
+           not simulated or a probe sees no resolution event)
 verify     suite,cases,failures,worst
 fix        alpha,multiplier,lambda_before,gamma_before,ratio_before,
            profitable_before,lambda_after,gamma_after,ratio_after,
@@ -190,7 +191,8 @@ def _mc_check_cell(lam: float, alpha_star: float, gamma: float,
 
     Consistency means the share sits at or below the power share at the
     lower probe and at or above it at the upper probe, within three
-    standard errors each.
+    standard errors each.  A probe that sees no resolution event has no
+    share: its ratio and the cell's verdict are None.
     """
     if not (0.0 < alpha_star < 0.5):
         return {"mc_alpha_low": None, "mc_ratio_low": None,
@@ -198,15 +200,17 @@ def _mc_check_cell(lam: float, alpha_star: float, gamma: float,
     alpha_low = max(alpha_star - MC_CHECK_ALPHA_OFFSET, 1e-3)
     alpha_high = min(alpha_star + MC_CHECK_ALPHA_OFFSET, 0.499)
     probes = {}
-    consistent = True
+    checks = []
     for label, alpha, sign in (("low", alpha_low, -1.0), ("high", alpha_high, 1.0)):
         config = SimConfig(params=MiningParams(alpha=alpha, lam=lam, gamma=gamma),
                            rounds=rounds, seed=seed)
         result = simulate(config)
+        resolved = result.revenue_a + result.revenue_b > 0.0
         probes[f"mc_alpha_{label}"] = alpha
-        probes[f"mc_ratio_{label}"] = result.ratio
-        consistent &= sign * (result.ratio - alpha) >= -3.0 * result.ratio_stderr
-    probes["mc_consistent"] = bool(consistent)
+        probes[f"mc_ratio_{label}"] = result.ratio if resolved else None
+        checks.append(sign * (result.ratio - alpha) >= -3.0 * result.ratio_stderr
+                      if resolved else None)
+    probes["mc_consistent"] = None if None in checks else all(checks)
     return probes
 
 

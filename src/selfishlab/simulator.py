@@ -35,6 +35,20 @@ equations.  "full" is ledger-style accounting that pays whole forks at
 resolution and also credits honest blocks produced while no private branch
 exists, giving a realistic (lower) attacker share.
 
+Evaluation
+----------
+A chunk runs without a per-round loop.  ``_lead_before`` reads the lead at
+the start of each round off the walk W = cumsum(x), x = +1 on attacker-only
+rounds, -1 on honest-only rounds, 0 otherwise.  "decrement": W reflected at
+0.  "reset": an excursion opens at an attacker-only round i at lead 0 and
+ends at the first honest-only round j > i with W_j in {W_i, W_i - 1} (a
+down step from lead 2 or 1); inside [i, j) the lead after a round is
+W - W_i + 1, elsewhere 0.  ``_account`` pays off that lead.  A full fork
+segment starts at an open (or, under "decrement", at a collapse) in round
+k; resolved at round j it holds 1 + A_j - A_k private and B_j - B_k
+public blocks, A and B the cumsums of the attacker and honest outcomes.
+``tests/chunk_reference.py`` keeps the per-round loop that pins it.
+
 Determinism contract
 --------------------
 Rounds are partitioned into fixed chunks of ``CHUNK_ROUNDS``.  Chunk ``i``
@@ -132,95 +146,71 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
-def _chunk_paper_vectorized(a: np.ndarray, b: np.ndarray, tie: np.ndarray,
-                            gamma: float) -> tuple[float, float, np.ndarray]:
-    """Closed-path evaluation of paper accounting with the decrement variant.
-
-    The lead follows the reflected-walk recursion s_t = max(0, s_{t-1} + x_t)
-    with x = +1 on attacker-only rounds and -1 on honest-only rounds, which
-    unrolls to a cumulative sum minus its running minimum.
-    """
+def _lead_before(a: np.ndarray, b: np.ndarray, variant: str) -> np.ndarray:
+    """Lead at the start of each round of a chunk that opens at lead 0."""
     up = a & ~b
-    down = ~a & b
-    x = up.astype(np.int64) - down.astype(np.int64)
-    walk = np.cumsum(x)
-    reflected = walk - np.minimum.accumulate(np.minimum(walk, 0))
-    s_before = np.empty(len(a), dtype=np.int64)
-    s_before[0] = 0
-    s_before[1:] = reflected[:-1]
+    down = b & ~a
+    walk = np.cumsum(up.view(np.int8) - down.view(np.int8), dtype=np.int32)
+    if variant == "decrement":
+        after = walk - np.minimum.accumulate(np.minimum(walk, 0))
+    else:
+        n = len(walk)
+        rows = np.int64(n + 1)
+        starts = np.flatnonzero(up)  # candidate excursion starts
+        falls = np.flatnonzero(down)
+        # honest-only rounds sorted by the key (W + n + 1) * rows + index, then a sentinel
+        keys = np.append(np.sort((walk[falls] + rows) * rows + falls), np.iinfo(np.int64).max)
+        level = (walk[starts] + rows) * rows  # key of (W_i, round 0)
+        # first honest-only round after i at W_i and at W_i - 1; a miss lands past n
+        hits = [keys[np.searchsorted(keys, floor + starts + 1)] - floor
+                for floor in (level, level - rows)]
+        ends = np.minimum(np.minimum(*hits), n)
+        # candidate intervals nest or are disjoint: a start is real past all earlier ends
+        opens = starts > np.concatenate(([-1], np.maximum.accumulate(ends)[:-1]))
+        starts, ends = starts[opens], ends[opens]
+        edges = np.zeros(n + 1, dtype=np.int8)
+        edges[starts], edges[ends] = 1, -1
+        # in place: W - W_i + 1 inside an excursion opened at i, 0 outside
+        after = np.zeros(n, dtype=np.int32)
+        after[starts] = np.diff(walk[starts] - 1, prepend=0)
+        np.subtract(walk, np.cumsum(after, out=after), out=after)
+        after[np.cumsum(edges[:n], dtype=np.int8) == 0] = 0
+    return np.concatenate((np.zeros(1, dtype=np.int32), after[:-1]))
 
-    tie_events = down & (s_before == 1)
-    collapses = down & (s_before == 2)
-    descents = down & (s_before >= 3)
-    attacker_wins = tie_events & (tie < gamma)
 
-    revenue_a = 2.0 * int(collapses.sum()) + int(descents.sum()) + int(attacker_wins.sum())
-    revenue_b = float(int(tie_events.sum()) - int(attacker_wins.sum()))
-    return revenue_a, revenue_b, np.bincount(s_before)
-
-
-def _chunk_loop(a: np.ndarray, b: np.ndarray, tie: np.ndarray, gamma: float,
-                accounting: str, variant: str) -> tuple[float, float, np.ndarray]:
-    """Reference per-round loop; handles every accounting/variant combination."""
-    full = accounting == "full"
-    reset = variant == "reset"
-    codes = (a.astype(np.int8) * 2 + b.astype(np.int8)).tolist()  # 2 up, 3 both, 1 down
-    ties = tie.tolist()
-
-    lead = 0
-    pending_private = 0  # unpublished attacker blocks on the current fork
-    pending_public = 0   # contested honest blocks on the current fork
-    revenue_a = 0.0
-    revenue_b = 0.0
-    occupancy = [0] * 8
-
-    for t, code in enumerate(codes):
-        if lead >= len(occupancy):
-            occupancy.extend([0] * (lead + 1 - len(occupancy)))
-        occupancy[lead] += 1
-
-        if lead == 0:
-            if code == 2:
-                lead, pending_private, pending_public = 1, 1, 0
-            elif code == 3:
-                if full:
-                    if ties[t] < gamma:
-                        revenue_a += 1.0
-                    else:
-                        revenue_b += 1.0
-            elif code == 1 and full:
-                revenue_b += 1.0
+def _account(a: np.ndarray, b: np.ndarray, tie: np.ndarray, lead: np.ndarray,
+             gamma: float, accounting: str,
+             variant: str) -> tuple[float, float, np.ndarray]:
+    """Revenue of one chunk and its occupancy counts, given the lead before each round."""
+    down = b & ~a
+    tied = down & (lead == 1)
+    won = tied & (tie < gamma)
+    collapsed = down & (lead == 2)
+    if accounting == "paper":
+        revenue_a = (2 * np.count_nonzero(collapsed) + np.count_nonzero(down & (lead >= 3))
+                     + np.count_nonzero(won))
+        revenue_b = np.count_nonzero(tied & ~won)
+    else:
+        idle = lead == 0
+        race_won = np.count_nonzero(a & b & idle & (tie < gamma))
+        revenue_b = np.count_nonzero(b & idle) - race_won
+        starts = a & ~b & idle
+        if variant == "decrement":
+            starts |= collapsed
+            private, revenue_a = won, race_won + 2 * np.count_nonzero(collapsed)
         else:
-            if code == 2:
-                lead += 1
-                pending_private += 1
-            elif code == 3:
-                pending_private += 1
-                pending_public += 1
-            elif code == 1:
-                if lead == 1:
-                    pending_public += 1
-                    if ties[t] < gamma:
-                        revenue_a += float(pending_private) if full else 1.0
-                    else:
-                        revenue_b += float(pending_public) if full else 1.0
-                    lead, pending_private, pending_public = 0, 0, 0
-                elif lead == 2:
-                    if reset:
-                        revenue_a += float(pending_private)
-                        lead, pending_private, pending_public = 0, 0, 0
-                    else:
-                        revenue_a += 2.0
-                        lead, pending_private, pending_public = 1, 1, 0
-                else:
-                    lead -= 1
-                    pending_public += 1
-                    if not full:
-                        revenue_a += 1.0
+            private, revenue_a = won | collapsed, race_won
+        segment = np.flatnonzero(starts)
 
-    while len(occupancy) > 1 and occupancy[-1] == 0:
-        occupancy.pop()
-    return revenue_a, revenue_b, np.asarray(occupancy, dtype=np.int64)
+        def grown(paid: np.ndarray, found: np.ndarray) -> int:
+            """Sum of found_j - found_k over paid rounds j, k the start of j's segment."""
+            ends = np.flatnonzero(paid)
+            begins = segment[np.searchsorted(segment, ends) - 1]
+            return int(found[ends].sum(dtype=np.int64) - found[begins].sum(dtype=np.int64))
+
+        revenue_a += np.count_nonzero(private) + grown(private, np.cumsum(a, dtype=np.int32))
+        revenue_b += grown(tied & ~won, np.cumsum(b, dtype=np.int32))
+    return float(revenue_a), float(revenue_b), np.bincount(lead)
 
 
 def _simulate_chunk(p_attacker: float, p_honest: float, gamma: float,
@@ -231,9 +221,7 @@ def _simulate_chunk(p_attacker: float, p_honest: float, gamma: float,
     a = rng.random(rounds) < p_attacker
     b = rng.random(rounds) < p_honest
     tie = rng.random(rounds)
-    if accounting == "paper" and variant == "decrement":
-        return _chunk_paper_vectorized(a, b, tie, gamma)
-    return _chunk_loop(a, b, tie, gamma, accounting, variant)
+    return _account(a, b, tie, _lead_before(a, b, variant), gamma, accounting, variant)
 
 
 def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:

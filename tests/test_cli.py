@@ -161,6 +161,20 @@ def test_sweep_mc_check(capsys):
     assert cell["mc_consistent"] is True
 
 
+def test_sweep_mc_check_unresolved_probe_has_no_verdict(capsys):
+    # lambda = 500: near alpha* = 0.499 both sides find a header in nearly every
+    # round, so 10^5 rounds see no resolution event and the share is undefined
+    code, envelope, _ = run_json(capsys, [
+        "sweep", "--tenures", "60", "--difficulties", "1.2e5", "--hashrate", "1e6",
+        "--gamma", "0", "--mc-check", "100000", "--mc-seed", "11"])
+    assert code == 0
+    cell = envelope["results"]["cells"][0]
+    assert cell["lambda"] == 500.0
+    assert cell["mc_alpha_high"] == 0.499
+    assert cell["mc_ratio_high"] is None
+    assert cell["mc_consistent"] is None
+
+
 def test_sweep_rejects_bad_axes(capsys):
     assert run(["sweep", "--tenures", "120,60", "--difficulties", "6e7",
                 "--hashrate", "1e6"]) == 2

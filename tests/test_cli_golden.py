@@ -35,7 +35,8 @@ COMMANDS = [
     "threshold --lambda 2 --gamma 0",
     "threshold --lambda 2 --gamma 0.5",
     "sweep --tenures 60,120 --difficulties 6e7,1.2e8 --hashrate 1e6 --gamma 0",
-    # lambda = 500, 1, 1000, 2: the lambda = 1 cell has alpha_star = 0 and is not simulated
+    # lambda = 500, 1, 1000, 2: the lambda = 1 cell has alpha_star = 0 and is not simulated;
+    # the lambda = 500 and 1000 probes see no resolution event, so they have no share
     "sweep --tenures 60,120 --difficulties 1.2e5,6e7 --hashrate 1e6 --gamma 0 "
     "--mc-check 100000 --mc-seed 11",
     "fix --alpha 0.3 --lambda 1 --multiplier 3",

@@ -1,16 +1,21 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from chunk_reference import _chunk_loop
 from selfishlab.errors import InvalidConfig
 from selfishlab.markov import q_at, revenue_ratio, stationary
 from selfishlab.probmodel import MiningParams, derive_transition_probs, round_success_probs
 from selfishlab.simulator import (
     CHUNK_ROUNDS,
     SimConfig,
-    _chunk_loop,
-    _chunk_paper_vectorized,
+    _account,
+    _lead_before,
     compare_to_analytic,
     simulate,
 )
@@ -52,23 +57,69 @@ def test_chunk_scheduling_independence():
     assert simulate(config, workers=8) == sequential
 
 
-@pytest.mark.parametrize("alpha,lam,gamma,rounds", [
-    (0.3, 1.0, 0.5, 1),
-    (0.3, 1.0, 0.5, 999),
-    (0.1, 2.0, 0.0, 20_000),
-    (0.45, 0.5, 1.0, 50_000),
-])
-def test_loop_matches_vectorized(alpha, lam, gamma, rounds):
-    rp = round_success_probs(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
-    rng = np.random.default_rng(77)
-    a = rng.random(rounds) < rp.p_attacker
-    b = rng.random(rounds) < rp.p_honest
-    tie = rng.random(rounds)
-    fast = _chunk_paper_vectorized(a, b, tie, gamma)
-    slow = _chunk_loop(a, b, tie, gamma, "paper", "decrement")
+@pytest.mark.parametrize("variant", ["decrement", "reset"])
+def test_full_accounting_scheduling_independence(variant):
+    config = SimConfig(params=REFERENCE, rounds=160_000, seed=9,
+                       accounting="full", variant=variant)
+    assert simulate(config, workers=3) == simulate(config)
+
+
+PAIRS = [("paper", "decrement"), ("full", "decrement"), ("full", "reset")]
+
+
+def _assert_matches_loop(a, b, tie, gamma, accounting, variant):
+    fast = _account(a, b, tie, _lead_before(a, b, variant), gamma, accounting, variant)
+    slow = _chunk_loop(a, b, tie, gamma, accounting, variant)
     assert fast[0] == slow[0]
     assert fast[1] == slow[1]
     assert np.array_equal(fast[2], slow[2])
+
+
+@pytest.mark.parametrize("accounting,variant", PAIRS)
+@pytest.mark.parametrize("alpha,lam,gamma", [
+    (0.45, 0.5, 1.0),
+    (0.1, 5.0, 0.0),
+    (0.3, 1.0, 0.5),
+    (0.05, 0.2, 0.25),
+])
+def test_chunk_path_matches_loop(alpha, lam, gamma, accounting, variant):
+    rp = round_success_probs(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
+    rng = np.random.default_rng(77)
+    a = rng.random(CHUNK_ROUNDS) < rp.p_attacker
+    b = rng.random(CHUNK_ROUNDS) < rp.p_honest
+    tie = rng.random(CHUNK_ROUNDS)
+    _assert_matches_loop(a, b, tie, gamma, accounting, variant)
+
+
+@pytest.mark.parametrize("accounting,variant", PAIRS)
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_chunk_path_matches_loop_on_every_short_chunk(rounds, accounting, variant):
+    # every sequence of (attacker finds, honest finds, tie-break below 1/2)
+    for outcomes in itertools.product(itertools.product((False, True), repeat=3),
+                                      repeat=rounds):
+        a, b, low = (np.array(column) for column in zip(*outcomes))
+        tie = np.where(low, 0.25, 0.75)
+        _assert_matches_loop(a, b, tie, 0.5, accounting, variant)
+
+
+# round codes: 0 nobody finds, 1 honest only, 2 attacker only, 3 both
+RUNS = [[2], [3], [1], [0], [2, 1], [2, 3], [2, 2, 1], [2, 1, 1], [3, 1]]
+ROUND_CODES = st.lists(
+    st.one_of(st.integers(0, 3).map(lambda code: [code]),
+              st.tuples(st.sampled_from(RUNS), st.integers(1, 300))
+              .map(lambda run: run[0] * run[1])),
+    min_size=1, max_size=40,
+).map(lambda runs: np.array([code for run in runs for code in run][:2_000], dtype=np.int8))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(codes=ROUND_CODES, gamma=st.floats(0.0, 1.0), data=st.data())
+def test_chunk_path_matches_loop_on_arbitrary_rounds(codes, gamma, data):
+    """Long runs of one outcome drive long leads and back-to-back resets."""
+    tie = data.draw(arrays(np.float64, len(codes),
+                           elements=st.floats(0.0, 1.0, exclude_max=True)))
+    for accounting, variant in PAIRS:
+        _assert_matches_loop(codes >= 2, codes % 2 == 1, tie, gamma, accounting, variant)
 
 
 def test_ratio_and_occupancy_match_closed_form():
