@@ -35,6 +35,9 @@ COMMANDS = [
     "threshold --lambda 2 --gamma 0",
     "threshold --lambda 2 --gamma 0.5",
     "sweep --tenures 60,120 --difficulties 6e7,1.2e8 --hashrate 1e6 --gamma 0",
+    # lambda from 1.67e-4 to 5000: alpha_star = 0 at lambda <= 1, bisected at
+    # lambda = 1.67, 50 and 100, and 0.5 at lambda = 5000
+    "sweep --tenures 1,60,3000 --difficulties 6e5,6e7,6e9 --hashrate 1e6 --gamma 0",
     # lambda = 500, 1, 1000, 2: the lambda = 1 cell has alpha_star = 0 and is not simulated;
     # the lambda = 500 and 1000 probes see no resolution event, so they have no share
     "sweep --tenures 60,120 --difficulties 1.2e5,6e7 --hashrate 1e6 --gamma 0 "
@@ -44,6 +47,11 @@ COMMANDS = [
     "verify --cases 5 --seed 7",
 ]
 FORMATS = ("human", "json", "csv")
+# pinned in JSON only: the bisection's last step at the tightest and a loose tolerance
+JSON_COMMANDS = [
+    "threshold --lambda 30 --gamma 0 --tol 1e-8",
+    "threshold --lambda 30 --gamma 0 --tol 1e-3",
+]
 
 
 def _capture(key: str) -> dict:
@@ -54,7 +62,8 @@ def _capture(key: str) -> dict:
 
 
 def _keys() -> list[str]:
-    return [f"{command} --format {fmt}" for command in COMMANDS for fmt in FORMATS]
+    return ([f"{command} --format {fmt}" for command in COMMANDS for fmt in FORMATS]
+            + [f"{command} --format json" for command in JSON_COMMANDS])
 
 
 def test_golden_file_covers_every_case():
