@@ -40,6 +40,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .errors import InvalidParam
 
 __all__ = [
@@ -51,6 +53,7 @@ __all__ = [
     "round_success_probs",
     "derive_transition_probs",
     "lead_ratio",
+    "lead_ratios",
     "apply_fix",
 ]
 
@@ -188,6 +191,21 @@ def lead_ratio(params: MiningParams) -> float:
     a, b = alpha * lam, (1.0 - alpha) * lam
     f_a, f_b = (-math.expm1(-a) / a if a else 1.0), (-math.expm1(-b) / b if b else 1.0)
     return math.exp((2.0 * alpha - 1.0) * lam) * alpha / (1.0 - alpha) * f_a / f_b
+
+
+def lead_ratios(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """``lead_ratio`` over broadcast arrays of alpha and lam, unvalidated.
+
+    The operations and their order are those of ``lead_ratio``, but numpy's
+    exp and expm1 may differ from libm's in the last place, so a value can
+    be a few ulps off the scalar one.
+    """
+    def f(x: np.ndarray) -> np.ndarray:
+        return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0.0)
+
+    # f's temporaries are freed before the next call, which holds down the peak of a large scan
+    return (np.exp((2.0 * alpha - 1.0) * lam) * alpha / (1.0 - alpha)
+            * f(alpha * lam) / f((1.0 - alpha) * lam))
 
 
 def apply_fix(params: MiningParams, header_multiplier: float) -> MiningParams:

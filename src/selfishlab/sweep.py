@@ -2,21 +2,34 @@
 
 ``profit_threshold`` finds the smallest attacker power share at which the
 analytic revenue share exceeds the power share itself.  No monotonicity is
-assumed: a coarse scan over the admissible range locates the lowest alpha
-that ``markov.share_verdict`` calls profitable, and bisection refines it.
+assumed: a coarse scan over the admissible range locates the lowest probed
+alpha that is profitable, and bisection refines the bracket below it.
 ``resistance_sweep`` maps that threshold over a grid of protocol
 parameters, since tenure length and header difficulty determine the round
 intensity and therefore the whole attack model.
+
+Both run one search, ``_thresholds``, over an array of lambdas at once.
+The scan evaluates the share on a (GRID_POINTS, lambdas) array, and the
+open brackets are bisected in lock step, each until its width is at most
+``tol``.  rho comes from ``probmodel.lead_ratios``, the array twin of
+``lead_ratio``, and the share from ``markov._share``, the formula behind
+``markov.share_verdict``.  numpy's exp may differ from libm's in the last
+place, which can flip a verdict only where the share is within ulps of
+alpha; the tests pin ``alpha_star``, the bracket and the evaluation count
+bit for bit to a one-lambda-at-a-time scalar search.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParam
-from .markov import share_verdict
-from .probmodel import MiningParams, ProtocolParams, lambda_from_protocol
+from .markov import _share
+from .probmodel import ProtocolParams, lambda_from_protocol, lead_ratios
 
 __all__ = [
     "GRID_POINTS",
@@ -32,6 +45,7 @@ GRID_POINTS = 64
 # alpha_star = 0 means profitable already at this share (the share is regular
 # as alpha -> 0, with limit gamma); the top stays off the divergent alpha -> 1/2
 ALPHA_GUARD = 1e-4
+_TOL = 1e-6  # bracket width of profit_threshold's default and of every sweep cell
 
 
 @dataclass(frozen=True)
@@ -86,59 +100,73 @@ class SweepCell:
     alpha_star: float
 
 
-def profit_threshold(lam: float, gamma: float, tol: float = 1e-6) -> ThresholdResult:
-    """Locate the smallest alpha in (0, 1/2) where withholding is profitable."""
+def _thresholds(lams: Sequence[float], gamma: float, tol: float) -> list[ThresholdResult]:
+    """Threshold search for every lambda at once; inputs are validated by the callers."""
+    lams = np.asarray(lams, dtype=float)
+
+    def profitable(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        # no probe comes within ALPHA_GUARD of 1/2, so rho stays below 0.9997
+        # and needs none of share_verdict's cap
+        return _share(lead_ratios(alpha, lam), gamma) > alpha
+
+    low, high = ALPHA_GUARD, 0.5 - ALPHA_GUARD
+    step = (high - low) / (GRID_POINTS - 1)
+    grid = low + np.arange(GRID_POINTS) * step
+    values = profitable(grid[:, None], lams)    # (GRID_POINTS, len(lams))
+    crossing = values.argmax(axis=0)            # first profitable row, 0 if none
+    evaluations = np.full(lams.size, GRID_POINTS)
+
+    # an open bracket ends at the first profitable probe above the smallest one
+    lo, hi = grid[crossing - 1], grid[crossing]
+    active = (crossing > 0) & (hi - lo > tol)
+    while active.any():
+        at = np.flatnonzero(active)
+        mid = 0.5 * (lo[at] + hi[at])
+        evaluations[at] += 1
+        above = profitable(mid, lams[at])
+        hi[at[above]] = mid[above]
+        lo[at[~above]] = mid[~above]
+        active[at] = hi[at] - lo[at] > tol
+
+    # a closed bracket sits on 0 (profitable at the smallest probe) or on 1/2 (nowhere)
+    closed = crossing == 0
+    edge = np.where(values[0], 0.0, 0.5)
+    lo, hi = np.where(closed, edge, lo), np.where(closed, edge, hi)
+    return [ThresholdResult(alpha_star=0.5 * (l + h), bracket=(l, h), evaluations=n)
+            for l, h, n in zip(lo.tolist(), hi.tolist(), evaluations.tolist())]
+
+
+def _require_lam(lam: float) -> None:
     if not (math.isfinite(lam) and lam > 0.0):
         raise InvalidParam(f"lam must be positive, got {lam}")
+
+
+def profit_threshold(lam: float, gamma: float, tol: float = _TOL) -> ThresholdResult:
+    """Locate the smallest alpha in (0, 1/2) where withholding is profitable."""
+    _require_lam(lam)
     if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
         raise InvalidParam(f"gamma must be in [0, 1], got {gamma}")
     if not (math.isfinite(tol) and tol >= 1e-8):
         raise InvalidParam(f"tol must be at least 1e-8, got {tol}")
-
-    def profitable(alpha: float) -> bool:
-        return share_verdict(MiningParams(alpha=alpha, lam=lam, gamma=gamma))[1]
-
-    low, high = ALPHA_GUARD, 0.5 - ALPHA_GUARD
-    step = (high - low) / (GRID_POINTS - 1)
-    grid = [low + i * step for i in range(GRID_POINTS)]
-    values = [profitable(alpha) for alpha in grid]
-    evaluations = GRID_POINTS
-
-    if values[0]:
-        # already profitable at the smallest probed share
-        return ThresholdResult(alpha_star=0.0, bracket=(0.0, 0.0), evaluations=evaluations)
-
-    crossing = next((i for i in range(1, GRID_POINTS) if values[i]), None)
-    if crossing is None:
-        return ThresholdResult(alpha_star=0.5, bracket=(0.5, 0.5), evaluations=evaluations)
-
-    lo, hi = grid[crossing - 1], grid[crossing]
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        evaluations += 1
-        if profitable(mid):
-            hi = mid
-        else:
-            lo = mid
-    return ThresholdResult(alpha_star=0.5 * (lo + hi), bracket=(lo, hi),
-                           evaluations=evaluations)
+    return _thresholds([lam], gamma, tol)[0]
 
 
 def resistance_sweep(grid: SweepGrid) -> list[SweepCell]:
     """Threshold table over the grid, row-major with tenure outermost.
 
-    Each threshold is found by ``profit_threshold`` at its default tolerance.
-    The round intensity is a sufficient statistic for the threshold, so
-    cells sharing a lam value share their alpha_star bit for bit.
+    The round intensity is a sufficient statistic for the threshold, so one
+    lock-step search runs over the sorted distinct lam values, at
+    ``profit_threshold``'s default tolerance; cells sharing a lam value share
+    their alpha_star bit for bit.  Raises InvalidParam when a lam overflows
+    or underflows.
     """
-    thresholds: dict[float, float] = {}
-    cells = []
-    for tenure in grid.tenures:
-        for difficulty in grid.difficulties:
-            lam = lambda_from_protocol(ProtocolParams(
-                tenure=tenure, difficulty=difficulty, hashrate=grid.hashrate))
-            if lam not in thresholds:
-                thresholds[lam] = profit_threshold(lam, grid.gamma).alpha_star
-            cells.append(SweepCell(tenure=tenure, difficulty=difficulty,
-                                   lam=lam, alpha_star=thresholds[lam]))
-    return cells
+    cells = [(tenure, difficulty, lambda_from_protocol(ProtocolParams(
+        tenure=tenure, difficulty=difficulty, hashrate=grid.hashrate)))
+        for tenure in grid.tenures for difficulty in grid.difficulties]
+    distinct = sorted({lam for _, _, lam in cells})
+    _require_lam(distinct[0])
+    _require_lam(distinct[-1])
+    found = _thresholds(distinct, grid.gamma, _TOL)
+    alpha_star = {lam: result.alpha_star for lam, result in zip(distinct, found)}
+    return [SweepCell(tenure=tenure, difficulty=difficulty, lam=lam, alpha_star=alpha_star[lam])
+            for tenure, difficulty, lam in cells]

@@ -1,9 +1,23 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfishlab.errors import InvalidParam
 from selfishlab.markov import is_profitable
-from selfishlab.probmodel import MiningParams
-from selfishlab.sweep import SweepGrid, profit_threshold, resistance_sweep
+from selfishlab.probmodel import MiningParams, lead_ratio, lead_ratios
+from selfishlab.sweep import SweepGrid, _thresholds, profit_threshold, resistance_sweep
+from threshold_reference import profit_threshold as reference_threshold
+
+GAMMAS = (0.0, 0.1, 0.25, 0.4, 0.5, 0.7, 1.0)
+TOLS = (1e-8, 1e-6, 1e-3)
+EXTREME_LAMS = (5e-324, 1e-300, 1e-12, 1e5, 1e300)
+
+
+def _log_uniform(rng, low, high, size):
+    return np.exp(rng.uniform(math.log(low), math.log(high), size))
 
 
 def test_even_tiebreak_profitable_everywhere():
@@ -92,3 +106,70 @@ def test_sweep_even_tiebreak_all_zero():
 def test_sweep_determinism():
     grid = SweepGrid(tenures=(60.0, 120.0), difficulties=(6e7,), hashrate=1e6, gamma=0.0)
     assert resistance_sweep(grid) == resistance_sweep(grid)
+
+
+def test_sweep_rejects_lambda_out_of_range():
+    with pytest.raises(InvalidParam):   # lam overflows to inf
+        resistance_sweep(SweepGrid(tenures=(1e300,), difficulties=(1e-300,),
+                                   hashrate=1e6, gamma=0.0))
+    with pytest.raises(InvalidParam):   # lam underflows to 0
+        resistance_sweep(SweepGrid(tenures=(1e-300,), difficulties=(1e300,),
+                                   hashrate=1e-30, gamma=0.0))
+
+
+# -- the lock-step search against the scalar reference, bit for bit ------------
+
+@pytest.mark.parametrize("tol", TOLS)
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_search_matches_reference_on_log_uniform_lambdas(gamma, tol):
+    lams = _log_uniform(np.random.default_rng([5, TOLS.index(tol)]), 1e-12, 1e3, 40).tolist()
+    assert _thresholds(lams, gamma, tol) == [reference_threshold(lam, gamma, tol)
+                                             for lam in lams]
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+def test_search_matches_reference_at_extreme_lambdas(gamma):
+    for tol in TOLS:
+        assert _thresholds(EXTREME_LAMS, gamma, tol) == [
+            reference_threshold(lam, gamma, tol) for lam in EXTREME_LAMS]
+        for lam in EXTREME_LAMS:
+            assert profit_threshold(lam, gamma, tol) == reference_threshold(lam, gamma, tol)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(lams=st.lists(st.floats(min_value=-12.0, max_value=3.0).map(lambda e: 10.0 ** e),
+                     min_size=1, max_size=6),
+       gamma=st.floats(min_value=0.0, max_value=1.0),
+       tol=st.floats(min_value=1e-8, max_value=1e-2))
+def test_search_matches_reference_on_arbitrary_inputs(lams, gamma, tol):
+    assert _thresholds(lams, gamma, tol) == [reference_threshold(lam, gamma, tol)
+                                             for lam in lams]
+
+
+@pytest.mark.parametrize("gamma", (0.0, 0.3))
+def test_every_sweep_cell_matches_reference(gamma):
+    # lambda from 1.67e-4 to 5000, then a seeded 8 x 8 grid
+    rng = np.random.default_rng(9)
+    grids = [SweepGrid(tenures=(1.0, 60.0, 3000.0), difficulties=(6e5, 6e7, 6e9),
+                       hashrate=1e6, gamma=gamma),
+             SweepGrid(tenures=np.sort(_log_uniform(rng, 1.0, 3000.0, 8)).tolist(),
+                       difficulties=np.sort(_log_uniform(rng, 6e5, 6e9, 8)).tolist(),
+                       hashrate=1e6, gamma=gamma)]
+    for grid in grids:
+        for cell in resistance_sweep(grid):
+            assert cell.alpha_star == reference_threshold(cell.lam, gamma).alpha_star
+
+
+def test_array_rho_within_four_epsilons_of_scalar():
+    rng = np.random.default_rng(17)
+    n = 100_000
+    alphas = rng.uniform(0.0, 0.5, n)
+    alphas[alphas == 0.0] = 0.25
+    lams = _log_uniform(rng, 1e-12, 1e3, n)
+    scalar = np.array([lead_ratio(MiningParams(alpha=a, lam=lam, gamma=0.0))
+                       for a, lam in zip(alphas.tolist(), lams.tolist())])
+    # numpy's exp and expm1 may each differ from libm's in the last place;
+    # rho stays within 4 epsilons of the scalar value, relative, or within
+    # 4 ulps where it is subnormal
+    bound = 4.0 * (np.finfo(float).eps * scalar + np.finfo(float).smallest_subnormal)
+    assert np.all(np.abs(lead_ratios(alphas, lams) - scalar) <= bound)
