@@ -12,7 +12,6 @@ from .errors import (
     DivergentLead,
     InvalidConfig,
     InvalidParam,
-    NoConvergence,
     SelfishLabError,
 )
 from .markov import (
@@ -57,7 +56,6 @@ __all__ = [
     "InvalidParam",
     "InvalidConfig",
     "DivergentLead",
-    "NoConvergence",
     "MiningParams",
     "ProtocolParams",
     "RoundProbs",

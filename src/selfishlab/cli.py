@@ -35,7 +35,7 @@ fix        alpha,multiplier,lambda_before,gamma_before,ratio_before,
            profitable_after,sim_ratio_before,sim_ratio_after
 
 Exit codes: 0 success, 2 invalid arguments or parameters, 3 model error
-(divergent lead / no convergence), 4 verification failure.
+(divergent lead), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import DivergentLead, InvalidConfig, InvalidParam, NoConvergence
+from .errors import DivergentLead, InvalidConfig, InvalidParam
 from .markov import is_profitable, q_at, stationary, stationary_truncated_oracle
 from .probmodel import (MiningParams, ProtocolParams, TransitionProbs, apply_fix,
                         lambda_from_protocol)
@@ -248,18 +248,20 @@ def _random_transition_probs(rng: np.random.Generator,
     return TransitionProbs(p0=rng.uniform(0.0, 1.0), p1=p1, p2=p2, p3=p3)
 
 
+def _oracle_states(rho: float) -> int:
+    """Truncation K, from 8 to 400, at which the geometric tail rho**K is below 1e-13."""
+    return min(400, max(8, math.ceil(math.log(1e-13) / math.log(rho)))) if rho > 1e-6 else 8
+
+
 def _oracle_suite(cases: int, seed: int) -> dict[str, Any]:
-    """Closed-form stationary masses vs the truncated power-iteration oracle."""
+    """Closed-form stationary masses vs the truncated-chain oracle."""
     rng = np.random.default_rng(seed)
     failures = 0
     worst = 0.0
     for _ in range(cases):
         probs = _random_transition_probs(rng)
         dist = stationary(probs)
-        if dist.rho > 1e-6:
-            K = min(400, max(8, math.ceil(math.log(1e-13) / math.log(dist.rho))))
-        else:
-            K = 8
+        K = _oracle_states(dist.rho)
         vector = stationary_truncated_oracle(probs, K)
         linf = float(max(abs(vector[k] - q_at(dist, k)) for k in range(K + 1)))
         worst = max(worst, linf)
@@ -494,7 +496,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (InvalidParam, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergentLead, NoConvergence) as exc:
+    except DivergentLead as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
 

@@ -15,7 +15,3 @@ class InvalidConfig(SelfishLabError, ValueError):
 
 class DivergentLead(SelfishLabError):
     """The private lead drifts upward and has no stationary distribution."""
-
-
-class NoConvergence(SelfishLabError):
-    """An iterative solver did not reach its residual target."""

@@ -35,9 +35,10 @@ races, so the attacker's revenue share never falls below one half when
 credits honest blocks appended while no private branch exists).
 
 ``stationary_truncated_oracle`` is an independent numerical check: it
-builds the explicit transition matrix truncated at a reflecting state K
-and runs power iteration, so the closed forms above can be validated
-without reusing their algebra.
+builds the rate matrix of the chain truncated at state K and solves its
+balance equations, with one replaced by the normalization, in a single
+linear solve, so the closed forms above can be validated without reusing
+their algebra.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergentLead, InvalidParam, NoConvergence
+from .errors import DivergentLead, InvalidParam
 from .probmodel import MiningParams, TransitionProbs, derive_transition_probs, lead_ratio
 
 __all__ = [
@@ -97,18 +98,22 @@ class RevenueReport:
     dist: StationaryDist
 
 
-def stationary(probs: TransitionProbs) -> StationaryDist:
-    """Solve the balance equations of the lead chain.
-
-    Raises InvalidParam when p3 = 0 (the lead can never shrink) and
-    DivergentLead when p2 >= p3.
-    """
+def _require_recurrent(probs: TransitionProbs) -> None:
     if probs.p3 == 0.0:
         raise InvalidParam("p3 must be positive: the lead could never shrink")
     if probs.p2 >= probs.p3:
         raise DivergentLead(
             f"lead extension outpaces recovery (p2={probs.p2} >= p3={probs.p3}): "
             "attacker majority, no stationary lead distribution")
+
+
+def stationary(probs: TransitionProbs) -> StationaryDist:
+    """Solve the balance equations of the lead chain.
+
+    Raises InvalidParam when p3 = 0 (the lead can never shrink) and
+    DivergentLead when p2 >= p3.
+    """
+    _require_recurrent(probs)
     rho, opening = probs.p2 / probs.p3, probs.p0 / probs.p3
     q0 = (1.0 - rho) / ((1.0 - rho) + opening)  # the 1 - rho that normalizes the tail
     return StationaryDist(q0=q0, q1=opening * q0, rho=rho)
@@ -191,69 +196,31 @@ def is_profitable(params: MiningParams) -> RevenueReport:
     return RevenueReport(r_a=r_a, r_b=r_b, ratio=ratio, profitable=profitable, dist=dist)
 
 
-def _truncated_matrix(probs: TransitionProbs, K: int) -> np.ndarray:
-    n = K + 1
-    P = np.zeros((n, n))
-    P[0, 1] = probs.p0
-    P[0, 0] = 1.0 - probs.p0
-    idx = np.arange(1, K)
-    P[idx, idx + 1] = probs.p2
-    P[idx, idx - 1] = probs.p3
-    P[idx, idx] = 1.0 - probs.p2 - probs.p3
-    # state K reflects: its upward mass joins the self-loop
-    P[K, K - 1] = probs.p3
-    P[K, K] = 1.0 - probs.p3
-    return P
+def stationary_truncated_oracle(probs: TransitionProbs, K: int) -> np.ndarray:
+    """Stationary vector of the K-truncated lead chain by one direct solve.
 
-
-def stationary_truncated_oracle(probs: TransitionProbs, K: int, *,
-                                tol: float = 1e-13,
-                                max_doublings: int = 60) -> np.ndarray:
-    """Stationary vector of the K-truncated lead chain by power iteration.
-
-    Builds the explicit (K+1)-state transition matrix and iterates the
-    half-lazy operator (I + P)/2, which shares the fixed point of P and is
-    aperiodic for every input.  After each step the operator is squared,
-    so the effective number of plain power-iteration steps doubles per
-    loop; the fixed-point residual ``max_k |(vP)_k - v_k|`` is always
-    measured against the original matrix and must drop below ``tol``.
-    Raises NoConvergence if that does not happen within ``max_doublings``
-    squarings (default 60, i.e. about 2**60 effective steps).
+    Builds the (K+1)-state rate matrix Q from the moves alone: p0 opens a
+    lead from state 0, p2 extends it, p3 shrinks it, and state K has no
+    upward move.  Each diagonal entry is minus its row's off-diagonal sum,
+    so no ``1 - p`` is ever formed.  State 0's balance equation in
+    ``vQ = 0`` is replaced by the normalization ``sum(v) = 1``, and the
+    system is solved once (Stewart, *Introduction to the Numerical
+    Solution of Markov Chains*, 1994, ch. 2).
 
     The truncation error relative to the infinite chain is bounded by the
     geometric tail rho**K, so callers pick K from their target accuracy.
     """
     if K < 2:
         raise InvalidParam(f"K must be at least 2, got {K}")
-    if probs.p3 == 0.0:
-        raise InvalidParam("p3 must be positive: the lead could never shrink")
-    if probs.p2 >= probs.p3:
-        raise DivergentLead(
-            f"lead extension outpaces recovery (p2={probs.p2} >= p3={probs.p3}): "
-            "attacker majority, no stationary lead distribution")
-
-    P = _truncated_matrix(probs, K)
-    B = 0.5 * (P + np.eye(K + 1))
-    v = np.full(K + 1, 1.0 / (K + 1))
-    residual = math.inf
-    for _ in range(max_doublings):
-        v = v @ B
-        v /= v.sum()
-        residual = float(np.max(np.abs(v @ P - v)))
-        if residual <= tol:
-            # a small residual only bounds the error by residual / spectral
-            # gap; keep applying the accumulated operator while it helps to
-            # push the vector to its numerical floor
-            for _ in range(8):
-                candidate = v @ B
-                candidate /= candidate.sum()
-                polished = float(np.max(np.abs(candidate @ P - candidate)))
-                if polished >= residual:
-                    break
-                v, residual = candidate, polished
-            return v
-        B = B @ B
-        B /= B.sum(axis=1, keepdims=True)
-    raise NoConvergence(
-        f"power iteration residual {residual:.3e} above {tol:.1e} "
-        f"after {max_doublings} doublings")
+    _require_recurrent(probs)
+    Q = np.zeros((K + 1, K + 1))
+    up = np.arange(K)
+    Q[up, up + 1] = probs.p2
+    Q[0, 1] = probs.p0
+    Q[up + 1, up] = probs.p3
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    A = Q.T  # row j is state j's balance equation; row 0 becomes sum(v) = 1
+    A[0] = 1.0
+    b = np.zeros(K + 1)
+    b[0] = 1.0
+    return np.linalg.solve(A, b)

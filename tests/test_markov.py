@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from selfishlab.errors import DivergentLead, InvalidParam, NoConvergence
+from selfishlab.cli import _oracle_states
+from selfishlab.errors import DivergentLead, InvalidParam
 from selfishlab.markov import (
     StationaryDist,
     is_profitable,
@@ -11,7 +12,7 @@ from selfishlab.markov import (
     stationary,
     stationary_truncated_oracle,
 )
-from selfishlab.probmodel import MiningParams, TransitionProbs
+from selfishlab.probmodel import MiningParams, TransitionProbs, derive_transition_probs
 
 GOLDEN = TransitionProbs(p0=0.2, p1=0.1, p2=0.2, p3=0.4)
 
@@ -171,15 +172,44 @@ def test_oracle_heavy_tail():
     assert linf <= 1e-10
 
 
-def test_oracle_validation_and_convergence_errors():
+def _oracle_error(alpha, lam):
+    probs = derive_transition_probs(MiningParams(alpha=alpha, lam=lam))
+    dist = stationary(probs)
+    K = _oracle_states(dist.rho)
+    vector = stationary_truncated_oracle(probs, K)
+    assert abs(vector.sum() - 1.0) <= 1e-12
+    assert vector.min() >= -1e-15
+    return max(abs(vector[k] - q_at(dist, k)) for k in range(K + 1))
+
+
+@pytest.mark.parametrize("alpha, lam", [
+    (0.3, 1e-12),  # every rate near 1e-12, where an absolute residual test stops at once
+    (0.3618384036491435, 750.1545622025869),  # rho ~ 1e-90
+])
+def test_oracle_at_domain_edges(alpha, lam):
+    assert _oracle_error(alpha, lam) <= 1e-12
+
+
+def test_oracle_over_domain():
+    # alpha ~ U(0, 1/2) and lambda log-uniform on [1e-12, 1e3], kept where rho <= 0.9
+    rng = np.random.default_rng(2026)
+    checked = 0
+    while checked < 300:
+        alpha, lam = rng.uniform(0.0, 0.5), 10.0 ** rng.uniform(-12.0, 3.0)
+        probs = derive_transition_probs(MiningParams(alpha=alpha, lam=lam))
+        if probs.p3 == 0.0 or probs.p2 > 0.9 * probs.p3:
+            continue
+        checked += 1
+        assert _oracle_error(alpha, lam) <= 1e-12, (alpha, lam)
+
+
+def test_oracle_validation_errors():
     with pytest.raises(InvalidParam):
         stationary_truncated_oracle(GOLDEN, 1)
     with pytest.raises(InvalidParam):
         stationary_truncated_oracle(TransitionProbs(p0=0.2, p1=0.1, p2=0.0, p3=0.0), 8)
     with pytest.raises(DivergentLead):
         stationary_truncated_oracle(TransitionProbs(p0=0.2, p1=0.1, p2=0.4, p3=0.4), 8)
-    with pytest.raises(NoConvergence):
-        stationary_truncated_oracle(GOLDEN, 8, max_doublings=0)
 
 
 def test_stationary_dist_validation():
