@@ -272,23 +272,30 @@ def _oracle_suite(cases: int, seed: int) -> dict[str, Any]:
 
 
 def _mc_suite(seed: int) -> dict[str, Any]:
-    """Paper-accounting simulation vs the closed-form revenue share."""
+    """Paper-accounting simulation vs the closed-form revenue share.
+
+    ``worst_case`` is the ``simulate`` argv of the config with the largest |z|.
+    """
     configs = [(alpha, lam, gamma)
                for alpha in (0.1, 0.3) for lam in (0.5, 2.0) for gamma in (0.0, 0.5)]
     failures = 0
     worst_z = 0.0
     worst_occ = 0.0
+    worst_case = ""
     for index, (alpha, lam, gamma) in enumerate(configs):
         config = SimConfig(params=MiningParams(alpha=alpha, lam=lam, gamma=gamma),
                            rounds=VERIFY_MC_ROUNDS, seed=seed + index)
         report = compare_to_analytic(config)
-        worst_z = max(worst_z, abs(report.z_score))
+        if not worst_case or abs(report.z_score) > worst_z:
+            worst_z = abs(report.z_score)
+            worst_case = (f"simulate --alpha {alpha!r} --lambda {lam!r} --gamma {gamma!r} "
+                          f"--rounds {config.rounds} --seed {config.seed}")
         worst_occ = max(worst_occ, float(report.occupancy_linf))
         if (abs(report.z_score) > VERIFY_MAX_ABS_Z
                 or report.occupancy_linf > VERIFY_MAX_OCC_LINF):
             failures += 1
     return {"suite": "simulation-analytic", "cases": len(configs), "failures": failures,
-            "worst": worst_z, "worst_occupancy_linf": worst_occ,
+            "worst": worst_z, "worst_case": worst_case, "worst_occupancy_linf": worst_occ,
             "max_abs_z": VERIFY_MAX_ABS_Z, "max_occupancy_linf": VERIFY_MAX_OCC_LINF}
 
 

@@ -1,9 +1,12 @@
 """Seeded Monte Carlo simulation of the lead state machine at round granularity.
 
-Each round draws two independent Bernoulli outcomes from the round
+Each round has two independent Bernoulli outcomes with the round
 probabilities: does the attacker pool find a header, and does the honest
 remainder find one.  The withheld branch's lead then evolves exactly as in
-the analytic chain and revenue is credited at resolution events.
+the analytic chain and revenue is credited at resolution events.  A round
+where a same-height race is decided by gamma is a *race*: under paper
+accounting the honest-only rounds at lead 1; under full accounting those
+and the rounds at lead 0 where both sides find.
 
 Transition and award rules, by lead ``s`` at the start of the round:
 
@@ -37,29 +40,37 @@ exists, giving a realistic (lower) attacker share.
 
 Evaluation
 ----------
-A chunk runs without a per-round loop.  ``_lead_before`` reads the lead at
-the start of each round off the walk W = cumsum(x), x = +1 on attacker-only
-rounds, -1 on honest-only rounds, 0 otherwise.  "decrement": W reflected at
-0.  "reset": an excursion opens at an attacker-only round i at lead 0 and
-ends at the first honest-only round j > i with W_j in {W_i, W_i - 1} (a
-down step from lead 2 or 1); inside [i, j) the lead after a round is
-W - W_i + 1, elsewhere 0.  ``_account`` pays off that lead.  A full fork
-segment starts at an open (or, under "decrement", at a collapse) in round
-k; resolved at round j it holds 1 + A_j - A_k private and B_j - B_k
-public blocks, A and B the cumsums of the attacker and honest outcomes.
-``tests/chunk_reference.py`` keeps the per-round loop that pins it.
+A chunk runs without a per-round loop.  ``_outcomes`` maps each round's
+uniform u to both outcomes: the attacker finds iff u < p_a, the honest
+side iff u < p_a p_b or p_a <= u < p_a + (p_b - p_a p_b), so the two are
+independent with the round probabilities.  ``_lead_before`` reads the lead
+at the start of each round off the walk W = cumsum(x), x = +1 on
+attacker-only rounds, -1 on honest-only rounds, 0 otherwise.
+"decrement": W reflected at 0.  "reset": an excursion opens at an
+attacker-only round i at lead 0 and ends at the first honest-only round
+j > i with W_j in {W_i, W_i - 1} (a down step from lead 2 or 1); inside
+[i, j) the lead after a round is W - W_i + 1, elsewhere 0.  ``_account``
+pays off that lead.  Paper revenue needs only four counts: honest-only
+rounds at lead 1 (the races), at lead 2 and at lead >= 3, and the races
+won.  A full fork segment starts at an open (or, under "decrement", at a
+collapse) in round k; resolved at round j it holds 1 + A_j - A_k private
+and B_j - B_k public blocks, A and B the cumsums of the attacker and
+honest outcomes.  ``tests/chunk_reference.py`` keeps the per-round loop
+that pins it.
 
 Determinism contract
 --------------------
 Rounds are partitioned into fixed chunks of ``CHUNK_ROUNDS``.  Chunk ``i``
 uses its own PCG64 generator seeded with ``SeedSequence((seed, i))`` and
-draws, in order, the attacker outcomes, the honest outcomes, and the
-tie-break uniforms for its rounds.  Chunks are independent (each starts at
-lead 0 with empty fork counters), so results are bit-identical however the
-chunks are scheduled, and a run is reproducible from its ``SimConfig``
-alone.  Chunks double as the batches for the batch-means standard error of
-the revenue share (``ceil(rounds / CHUNK_ROUNDS)`` batches; the estimate
-is 0 when there are fewer than two).
+draws, in order, one uniform per round, which decides both outcomes of
+that round, and then one tie-break uniform per race, in round order: a
+chunk of n rounds with r races draws exactly n + r doubles.  Chunks are
+independent (each starts at lead 0 with empty fork counters), so results
+are bit-identical however the chunks are scheduled, and a run is
+reproducible from its ``SimConfig`` alone.  Chunks double as the batches
+for the batch-means standard error of the revenue share
+(``ceil(rounds / CHUNK_ROUNDS)`` batches; the estimate is 0 when there are
+fewer than two).
 """
 
 from __future__ import annotations
@@ -67,6 +78,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -178,21 +190,43 @@ def _lead_before(a: np.ndarray, b: np.ndarray, variant: str) -> np.ndarray:
     return np.concatenate((np.zeros(1, dtype=np.int32), after[:-1]))
 
 
-def _account(a: np.ndarray, b: np.ndarray, tie: np.ndarray, lead: np.ndarray,
-             gamma: float, accounting: str,
+def _outcomes(u: np.ndarray, p_attacker: float,
+              p_honest: float) -> tuple[np.ndarray, np.ndarray]:
+    """Attacker and honest outcomes of each round from its one uniform.
+
+    The attacker finds on [0, p_a); the honest side on [0, p_a p_b) and on
+    [p_a, p_a + p_b - p_a p_b), so the two outcomes are independent.
+    """
+    a = u < p_attacker
+    both = p_attacker * p_honest
+    b = (u < both) | (~a & (u < p_attacker + (p_honest - both)))
+    return a, b
+
+
+def _account(a: np.ndarray, b: np.ndarray, lead: np.ndarray,
+             draw: Callable[[int], np.ndarray], gamma: float, accounting: str,
              variant: str) -> tuple[float, float, np.ndarray]:
-    """Revenue of one chunk and its occupancy counts, given the lead before each round."""
+    """Revenue of one chunk and its occupancy counts, given the lead before each round.
+
+    ``draw(n)`` returns the tie-break uniforms of the chunk's n races in round
+    order; the attacker wins a race iff its uniform is below gamma.
+    """
     down = b & ~a
-    tied = down & (lead == 1)
-    won = tied & (tie < gamma)
-    collapsed = down & (lead == 2)
     if accounting == "paper":
-        revenue_a = (2 * np.count_nonzero(collapsed) + np.count_nonzero(down & (lead >= 3))
-                     + np.count_nonzero(won))
-        revenue_b = np.count_nonzero(tied & ~won)
+        # honest-only rounds at lead 1 (a race), 2 and >= 3
+        tied, collapsed, shrunk = (np.count_nonzero(down & test)
+                                   for test in (lead == 1, lead == 2, lead >= 3))
+        won = np.count_nonzero(draw(tied) < gamma)
+        revenue_a, revenue_b = 2 * collapsed + shrunk + won, tied - won
     else:
         idle = lead == 0
-        race_won = np.count_nonzero(a & b & idle & (tie < gamma))
+        tied = down & (lead == 1)
+        raced = tied | (a & b & idle)
+        wins = np.zeros_like(raced)
+        wins[raced] = draw(np.count_nonzero(raced)) < gamma
+        won = tied & wins
+        race_won = np.count_nonzero(wins & idle)
+        collapsed = down & (lead == 2)
         revenue_b = np.count_nonzero(b & idle) - race_won
         starts = a & ~b & idle
         if variant == "decrement":
@@ -213,15 +247,12 @@ def _account(a: np.ndarray, b: np.ndarray, tie: np.ndarray, lead: np.ndarray,
     return float(revenue_a), float(revenue_b), np.bincount(lead)
 
 
-def _simulate_chunk(p_attacker: float, p_honest: float, gamma: float,
-                    accounting: str, variant: str, seed: int, index: int,
+def _simulate_chunk(rng: np.random.Generator, p_attacker: float, p_honest: float,
+                    gamma: float, accounting: str, variant: str,
                     rounds: int) -> tuple[float, float, np.ndarray]:
     """One independent chunk: (revenue_a, revenue_b, occupancy counts)."""
-    rng = _chunk_rng(seed, index)
-    a = rng.random(rounds) < p_attacker
-    b = rng.random(rounds) < p_honest
-    tie = rng.random(rounds)
-    return _account(a, b, tie, _lead_before(a, b, variant), gamma, accounting, variant)
+    a, b = _outcomes(rng.random(rounds), p_attacker, p_honest)
+    return _account(a, b, _lead_before(a, b, variant), rng.random, gamma, accounting, variant)
 
 
 def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
@@ -241,9 +272,9 @@ def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
         sizes.append(config.rounds % CHUNK_ROUNDS)
 
     def run_chunk(index: int) -> tuple[float, float, np.ndarray]:
-        return _simulate_chunk(rp.p_attacker, rp.p_honest, gamma,
-                               config.accounting, config.variant,
-                               config.seed, index, sizes[index])
+        return _simulate_chunk(_chunk_rng(config.seed, index), rp.p_attacker,
+                               rp.p_honest, gamma, config.accounting, config.variant,
+                               sizes[index])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -6,16 +6,21 @@ every accounting/variant combination and is far slower than the
 simulator's loop-free path, which the tests pin to it bit for bit.
 """
 
+from typing import Iterator
+
 import numpy as np
 
 
-def _chunk_loop(a: np.ndarray, b: np.ndarray, tie: np.ndarray, gamma: float,
+def _chunk_loop(a: np.ndarray, b: np.ndarray, races: Iterator[float], gamma: float,
                 accounting: str, variant: str) -> tuple[float, float, np.ndarray]:
-    """Reference per-round loop; handles every accounting/variant combination."""
+    """Reference per-round loop; handles every accounting/variant combination.
+
+    Each race reads the next uniform from ``races`` and nothing else does, so
+    the uniforms are consumed one per race in round order.
+    """
     full = accounting == "full"
     reset = variant == "reset"
     codes = (a.astype(np.int8) * 2 + b.astype(np.int8)).tolist()  # 2 up, 3 both, 1 down
-    ties = tie.tolist()
 
     lead = 0
     pending_private = 0  # unpublished attacker blocks on the current fork
@@ -24,7 +29,7 @@ def _chunk_loop(a: np.ndarray, b: np.ndarray, tie: np.ndarray, gamma: float,
     revenue_b = 0.0
     occupancy = [0] * 8
 
-    for t, code in enumerate(codes):
+    for code in codes:
         if lead >= len(occupancy):
             occupancy.extend([0] * (lead + 1 - len(occupancy)))
         occupancy[lead] += 1
@@ -34,7 +39,7 @@ def _chunk_loop(a: np.ndarray, b: np.ndarray, tie: np.ndarray, gamma: float,
                 lead, pending_private, pending_public = 1, 1, 0
             elif code == 3:
                 if full:
-                    if ties[t] < gamma:
+                    if next(races) < gamma:
                         revenue_a += 1.0
                     else:
                         revenue_b += 1.0
@@ -50,7 +55,7 @@ def _chunk_loop(a: np.ndarray, b: np.ndarray, tie: np.ndarray, gamma: float,
             elif code == 1:
                 if lead == 1:
                     pending_public += 1
-                    if ties[t] < gamma:
+                    if next(races) < gamma:
                         revenue_a += float(pending_private) if full else 1.0
                     else:
                         revenue_b += float(pending_public) if full else 1.0

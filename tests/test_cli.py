@@ -217,6 +217,25 @@ def test_verify_passes_small_run(capsys):
     assert suites["simulation-analytic"]["failures"] == 0
 
 
+def test_verify_worst_case_replays_the_largest_z(capsys):
+    code, envelope, _ = run_json(capsys, ["verify", "--cases", "5", "--seed", "7"])
+    assert code == 0
+    suite = envelope["results"]["suites"][1]
+    assert suite["suite"] == "simulation-analytic"
+    replay = suite["worst_case"].split()
+    assert replay[0] == "simulate"
+    code, simulated, _ = run_json(capsys, replay)
+    assert code == 0
+    inputs = simulated["inputs"]
+    code, analytic, _ = run_json(capsys, ["analyze", "--alpha", str(inputs["alpha"]),
+                                          "--lambda", str(inputs["lambda"]),
+                                          "--gamma", str(inputs["gamma"])])
+    assert code == 0
+    z = ((simulated["results"]["ratio"] - analytic["results"]["ratio"])
+         / simulated["results"]["ratio_stderr"])
+    assert abs(z) == suite["worst"]
+
+
 def test_verify_detects_injected_fault(capsys, monkeypatch):
     import selfishlab.cli as cli
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from selfishlab.simulator import (
     CHUNK_ROUNDS,
     SimConfig,
     _account,
+    _chunk_rng,
     _lead_before,
+    _outcomes,
+    _simulate_chunk,
     compare_to_analytic,
     simulate,
 )
@@ -67,12 +71,17 @@ def test_full_accounting_scheduling_independence(variant):
 PAIRS = [("paper", "decrement"), ("full", "decrement"), ("full", "reset")]
 
 
-def _assert_matches_loop(a, b, tie, gamma, accounting, variant):
-    fast = _account(a, b, tie, _lead_before(a, b, variant), gamma, accounting, variant)
-    slow = _chunk_loop(a, b, tie, gamma, accounting, variant)
+def _assert_matches_loop(a, b, uniforms, gamma, accounting, variant):
+    """The loop-free path matches the loop and reads the same race uniforms."""
+    fast_stream, slow_stream = iter(uniforms), iter(uniforms)
+    fast = _account(a, b, _lead_before(a, b, variant),
+                    lambda n: np.fromiter(fast_stream, np.float64, n),
+                    gamma, accounting, variant)
+    slow = _chunk_loop(a, b, slow_stream, gamma, accounting, variant)
     assert fast[0] == slow[0]
     assert fast[1] == slow[1]
     assert np.array_equal(fast[2], slow[2])
+    assert list(fast_stream) == list(slow_stream)
 
 
 @pytest.mark.parametrize("accounting,variant", PAIRS)
@@ -84,22 +93,20 @@ def _assert_matches_loop(a, b, tie, gamma, accounting, variant):
 ])
 def test_chunk_path_matches_loop(alpha, lam, gamma, accounting, variant):
     rp = round_success_probs(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
-    rng = np.random.default_rng(77)
-    a = rng.random(CHUNK_ROUNDS) < rp.p_attacker
-    b = rng.random(CHUNK_ROUNDS) < rp.p_honest
-    tie = rng.random(CHUNK_ROUNDS)
-    _assert_matches_loop(a, b, tie, gamma, accounting, variant)
+    rng = _chunk_rng(77, 0)
+    a, b = _outcomes(rng.random(CHUNK_ROUNDS), rp.p_attacker, rp.p_honest)
+    _assert_matches_loop(a, b, rng.random(CHUNK_ROUNDS), gamma, accounting, variant)
 
 
 @pytest.mark.parametrize("accounting,variant", PAIRS)
 @pytest.mark.parametrize("rounds", [1, 2, 3])
 def test_chunk_path_matches_loop_on_every_short_chunk(rounds, accounting, variant):
-    # every sequence of (attacker finds, honest finds, tie-break below 1/2)
+    # every sequence of (attacker finds, honest finds, tie-break below 1/2); a
+    # chunk has at most one race per round, so the i-th race reads the i-th flag
     for outcomes in itertools.product(itertools.product((False, True), repeat=3),
                                       repeat=rounds):
         a, b, low = (np.array(column) for column in zip(*outcomes))
-        tie = np.where(low, 0.25, 0.75)
-        _assert_matches_loop(a, b, tie, 0.5, accounting, variant)
+        _assert_matches_loop(a, b, np.where(low, 0.25, 0.75), 0.5, accounting, variant)
 
 
 # round codes: 0 nobody finds, 1 honest only, 2 attacker only, 3 both
@@ -116,10 +123,91 @@ ROUND_CODES = st.lists(
 @given(codes=ROUND_CODES, gamma=st.floats(0.0, 1.0), data=st.data())
 def test_chunk_path_matches_loop_on_arbitrary_rounds(codes, gamma, data):
     """Long runs of one outcome drive long leads and back-to-back resets."""
-    tie = data.draw(arrays(np.float64, len(codes),
-                           elements=st.floats(0.0, 1.0, exclude_max=True)))
+    uniforms = data.draw(arrays(np.float64, len(codes),
+                                elements=st.floats(0.0, 1.0, exclude_max=True)))
     for accounting, variant in PAIRS:
-        _assert_matches_loop(codes >= 2, codes % 2 == 1, tie, gamma, accounting, variant)
+        _assert_matches_loop(codes >= 2, codes % 2 == 1, uniforms, gamma,
+                             accounting, variant)
+
+
+def _counted(rng, drawn):
+    """Uniforms from rng one at a time, each recorded in drawn."""
+    while True:
+        drawn.append(rng.random())
+        yield drawn[-1]
+
+
+@pytest.mark.parametrize("accounting,variant", PAIRS)
+@pytest.mark.parametrize("rounds", [1, 999, CHUNK_ROUNDS])
+def test_chunk_draws_one_uniform_per_round_and_one_per_race(rounds, accounting, variant):
+    rp = round_success_probs(REFERENCE)
+    rng = _chunk_rng(5, 2)
+    fast = _simulate_chunk(rng, rp.p_attacker, rp.p_honest, REFERENCE.gamma,
+                           accounting, variant, rounds)
+
+    replay, races = _chunk_rng(5, 2), []
+    a, b = _outcomes(replay.random(rounds), rp.p_attacker, rp.p_honest)
+    slow = _chunk_loop(a, b, _counted(replay, races), REFERENCE.gamma, accounting, variant)
+    assert fast[:2] == slow[:2]
+    assert np.array_equal(fast[2], slow[2])
+    assert len(races) > 0 or rounds == 1
+
+    expected = _chunk_rng(5, 2)
+    expected.random(rounds + len(races))
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
+# a 2**20-point grid is exact in binary, so k / GRID has no rounding
+GRID = 2 ** 20
+EDGE_U = np.append(np.arange(GRID) / GRID, np.nextafter(1.0, 0.0))
+
+
+@pytest.mark.parametrize("p_attacker,p_honest", [
+    (0.3, 0.6), (0.5, 0.5), (0.01, 0.99), (1e-5, 0.7), (0.2592, 0.5034),
+    (-math.expm1(-0.3), -math.expm1(-0.7)),  # REFERENCE's round probabilities
+])
+def test_outcomes_are_independent_bernoullis_on_a_grid(p_attacker, p_honest):
+    u = np.arange(GRID) / GRID
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        a, b = _outcomes(u, p_attacker, p_honest)
+    # each of these columns is one interval of u, so its count is within 1 of N p
+    for column, p in ((a, p_attacker), (a & b, p_attacker * p_honest),
+                      (b & ~a, p_honest - p_attacker * p_honest)):
+        assert abs(np.count_nonzero(column) / GRID - p) <= 1 / GRID
+    # b is the union of two of them
+    assert abs(np.count_nonzero(b) / GRID - p_honest) <= 2 / GRID
+
+
+@pytest.mark.parametrize("p_attacker,p_honest", [
+    (0.0, 0.0), (0.0, 0.4), (0.0, 1.0), (1.0, 0.0), (1.0, 0.4), (1.0, 1.0),
+    (0.3, 0.0), (0.3, 1.0), (0.7, 1.0), (1e-300, 1.0), (1e-300, 0.0),
+])
+def test_outcomes_at_impossible_and_certain_finds(p_attacker, p_honest):
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        a, b = _outcomes(EDGE_U, p_attacker, p_honest)
+    for column, p in ((a, p_attacker), (b, p_honest)):
+        if p == 0.0:
+            assert not column.any()
+        elif p == 1.0:
+            assert column.all()
+
+
+def test_outcomes_at_extreme_intensities():
+    saturated = round_success_probs(MiningParams(alpha=0.3, lam=1e3))
+    assert saturated.p_honest == 1.0
+    faint = round_success_probs(MiningParams(alpha=0.1, lam=1e-12))
+    assert faint.p_attacker == pytest.approx(1e-13, rel=1e-9)
+    assert faint.p_honest == pytest.approx(9e-13, rel=1e-9)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        a, b = _outcomes(EDGE_U, saturated.p_attacker, saturated.p_honest)
+        assert a.all() and b.all()
+        a, b = _outcomes(EDGE_U, faint.p_attacker, faint.p_honest)
+    # only u = 0 lies below p_a p_b; every other grid point is above p_a and p_b
+    assert np.flatnonzero(a).tolist() == [0]
+    assert np.flatnonzero(b).tolist() == [0]
 
 
 def test_ratio_and_occupancy_match_closed_form():
