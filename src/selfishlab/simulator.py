@@ -43,20 +43,28 @@ Evaluation
 A chunk runs without a per-round loop.  ``_outcomes`` maps each round's
 uniform u to both outcomes: the attacker finds iff u < p_a, the honest
 side iff u < p_a p_b or p_a <= u < p_a + (p_b - p_a p_b), so the two are
-independent with the round probabilities.  ``_lead_before`` reads the lead
-at the start of each round off the walk W = cumsum(x), x = +1 on
-attacker-only rounds, -1 on honest-only rounds, 0 otherwise.
-"decrement": W reflected at 0.  "reset": an excursion opens at an
-attacker-only round i at lead 0 and ends at the first honest-only round
-j > i with W_j in {W_i, W_i - 1} (a down step from lead 2 or 1); inside
-[i, j) the lead after a round is W - W_i + 1, elsewhere 0.  ``_account``
-pays off that lead.  Paper revenue needs only four counts: honest-only
-rounds at lead 1 (the races), at lead 2 and at lead >= 3, and the races
-won.  A full fork segment starts at an open (or, under "decrement", at a
-collapse) in round k; resolved at round j it holds 1 + A_j - A_k private
-and B_j - B_k public blocks, A and B the cumsums of the attacker and
-honest outcomes.  ``tests/chunk_reference.py`` keeps the per-round loop
-that pins it.
+independent with the round probabilities.  Only a *step*, a round where
+exactly one side finds, moves the lead: idle and both-find rounds keep it.
+``_steps`` keeps the step rounds and the run lengths between them, and
+``_lead_before`` walks the steps alone: W = cumsum(x), x = +1 on an
+attacker-only step and -1 on an honest-only one.  "decrement": W reflected
+at 0.  "reset": an excursion opens at an attacker-only step i at lead 0 and
+ends at the first honest-only step j > i with W_j in {W_i, W_i - 1} (a down
+step from lead 2 or 1); the lead after a step is W minus a per-excursion
+baseline W_i - 1, clipped at 0, whose baselines are laid out by one
+``np.repeat`` (outside an excursion the baseline exceeds every W).  The
+walk ends with one idle sentinel, the lead at the chunk's end.  Lead k of
+that walk holds for the rounds in (step k-1, step k], and the sentinel's
+for the rounds after the last step, so one ``np.bincount`` weighted by those
+run lengths gives the occupancy; a chunk that ends on a step gives the
+sentinel no round, and its bin is dropped.  Paper revenue needs only four
+counts: honest-only steps at lead 1 (the races), at lead 2 and at lead
+>= 3, and the races won.  Full accounting repeats each step's lead over
+its run to get the lead before every round, then pays fork segments: a
+segment starts at an open (or, under "decrement", at a collapse) in round
+k; resolved at round j it holds 1 + A_j - A_k private and B_j - B_k public
+blocks, A and B the cumsums of the attacker and honest outcomes.
+``tests/chunk_reference.py`` keeps the per-round loop that pins it.
 
 Determinism contract
 --------------------
@@ -158,36 +166,40 @@ def _chunk_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
-def _lead_before(a: np.ndarray, b: np.ndarray, variant: str) -> np.ndarray:
-    """Lead at the start of each round of a chunk that opens at lead 0."""
-    up = a & ~b
-    down = b & ~a
-    walk = np.cumsum(up.view(np.int8) - down.view(np.int8), dtype=np.int32)
+def _lead_before(up: np.ndarray, variant: str) -> np.ndarray:
+    """Lead before each step of a chunk that opens at lead 0, then the lead at its end.
+
+    ``up`` marks the attacker-only steps; the others are honest-only.  The
+    last entry is the lead an idle sentinel round after the last step starts at.
+    """
+    m = len(up)
+    walk = np.cumsum(up.view(np.int8) * 2 - 1, dtype=np.int32)
+    lead = np.zeros(m + 1, dtype=np.int32)
     if variant == "decrement":
-        after = walk - np.minimum.accumulate(np.minimum(walk, 0))
+        floor = np.minimum(walk, 0, out=lead[1:])
+        np.subtract(walk, np.minimum.accumulate(floor, out=floor), out=floor)
     else:
-        n = len(walk)
-        rows = np.int64(n + 1)
+        rows = np.int64(m + 1)
         starts = np.flatnonzero(up)  # candidate excursion starts
-        falls = np.flatnonzero(down)
-        # honest-only rounds sorted by the key (W + n + 1) * rows + index, then a sentinel
+        falls = np.flatnonzero(~up)
+        # honest-only steps sorted by the key (W + m + 1) * rows + index, then a sentinel
         keys = np.append(np.sort((walk[falls] + rows) * rows + falls), np.iinfo(np.int64).max)
-        level = (walk[starts] + rows) * rows  # key of (W_i, round 0)
-        # first honest-only round after i at W_i and at W_i - 1; a miss lands past n
+        level = (walk[starts] + rows) * rows  # key of (W_i, step 0)
+        # first honest-only step after i at W_i and at W_i - 1; a miss lands past m
         hits = [keys[np.searchsorted(keys, floor + starts + 1)] - floor
                 for floor in (level, level - rows)]
-        ends = np.minimum(np.minimum(*hits), n)
+        ends = np.minimum(np.minimum(*hits), m)
         # candidate intervals nest or are disjoint: a start is real past all earlier ends
         opens = starts > np.concatenate(([-1], np.maximum.accumulate(ends)[:-1]))
         starts, ends = starts[opens], ends[opens]
-        edges = np.zeros(n + 1, dtype=np.int8)
-        edges[starts], edges[ends] = 1, -1
-        # in place: W - W_i + 1 inside an excursion opened at i, 0 outside
-        after = np.zeros(n, dtype=np.int32)
-        after[starts] = np.diff(walk[starts] - 1, prepend=0)
-        np.subtract(walk, np.cumsum(after, out=after), out=after)
-        after[np.cumsum(edges[:n], dtype=np.int8) == 0] = 0
-    return np.concatenate((np.zeros(1, dtype=np.int32), after[:-1]))
+        # W - W_i + 1 inside an excursion [i, j); outside, a baseline above every W
+        # makes the difference negative, and the clip at 0 gives lead 0
+        bounds = np.empty(2 * len(starts) + 2, dtype=np.intp)
+        bounds[0], bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = 0, starts, ends, m
+        baselines = np.full(len(bounds) - 1, m + 1, dtype=np.int32)
+        baselines[1::2] = walk[starts] - 1
+        np.maximum(walk - np.repeat(baselines, np.diff(bounds)), 0, out=lead[1:])
+    return lead
 
 
 def _outcomes(u: np.ndarray, p_attacker: float,
@@ -203,22 +215,47 @@ def _outcomes(u: np.ndarray, p_attacker: float,
     return a, b
 
 
-def _account(a: np.ndarray, b: np.ndarray, lead: np.ndarray,
-             draw: Callable[[int], np.ndarray], gamma: float, accounting: str,
-             variant: str) -> tuple[float, float, np.ndarray]:
-    """Revenue of one chunk and its occupancy counts, given the lead before each round.
+def _steps(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rounds where exactly one side finds, which are the rounds that move the lead.
+
+    Returns whether the attacker found in each step, and the run lengths:
+    runs[k] rounds, those in (steps[k-1], steps[k]], start at the lead before
+    step k, and runs[-1] rounds follow the last step.  The runs are float64,
+    the weights of the occupancy bincount.
+    """
+    steps = np.flatnonzero(a ^ b)
+    runs = np.empty(len(steps) + 1)
+    runs[-1] = len(a)
+    if len(steps):
+        runs[0] = steps[0] + 1
+        np.subtract(steps[1:], steps[:-1], out=runs[1:-1])
+        runs[-1] -= steps[-1] + 1
+    return a[steps], runs
+
+
+def _chunk(a: np.ndarray, b: np.ndarray, draw: Callable[[int], np.ndarray],
+           gamma: float, accounting: str, variant: str) -> tuple[float, float, np.ndarray]:
+    """Revenue of one chunk that opens at lead 0, and its occupancy counts.
 
     ``draw(n)`` returns the tie-break uniforms of the chunk's n races in round
     order; the attacker wins a race iff its uniform is below gamma.
     """
-    down = b & ~a
+    up, runs = _steps(a, b)
+    lead = _lead_before(up, variant)
+    if not runs[-1]:  # the chunk ends on a step: no round starts at the end lead
+        lead, runs = lead[:-1], runs[:-1]
+    occupancy = np.bincount(lead, runs).astype(np.int64)
     if accounting == "paper":
-        # honest-only rounds at lead 1 (a race), 2 and >= 3
+        # honest-only steps at lead 1 (a race), 2 and >= 3
+        down, lead_step = ~up, lead[:len(up)]
         tied, collapsed, shrunk = (np.count_nonzero(down & test)
-                                   for test in (lead == 1, lead == 2, lead >= 3))
+                                   for test in (lead_step == 1, lead_step == 2, lead_step >= 3))
         won = np.count_nonzero(draw(tied) < gamma)
         revenue_a, revenue_b = 2 * collapsed + shrunk + won, tied - won
     else:
+        lead = np.repeat(lead, runs.astype(np.intp))  # the lead before each round
+        del up, runs  # freed before the ledger's round-length temporaries
+        down = b & ~a
         idle = lead == 0
         tied = down & (lead == 1)
         raced = tied | (a & b & idle)
@@ -244,7 +281,7 @@ def _account(a: np.ndarray, b: np.ndarray, lead: np.ndarray,
 
         revenue_a += np.count_nonzero(private) + grown(private, np.cumsum(a, dtype=np.int32))
         revenue_b += grown(tied & ~won, np.cumsum(b, dtype=np.int32))
-    return float(revenue_a), float(revenue_b), np.bincount(lead)
+    return float(revenue_a), float(revenue_b), occupancy
 
 
 def _simulate_chunk(rng: np.random.Generator, p_attacker: float, p_honest: float,
@@ -252,7 +289,7 @@ def _simulate_chunk(rng: np.random.Generator, p_attacker: float, p_honest: float
                     rounds: int) -> tuple[float, float, np.ndarray]:
     """One independent chunk: (revenue_a, revenue_b, occupancy counts)."""
     a, b = _outcomes(rng.random(rounds), p_attacker, p_honest)
-    return _account(a, b, _lead_before(a, b, variant), rng.random, gamma, accounting, variant)
+    return _chunk(a, b, rng.random, gamma, accounting, variant)
 
 
 def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:

@@ -15,7 +15,7 @@ from selfishlab.probmodel import MiningParams, derive_transition_probs, round_su
 from selfishlab.simulator import (
     CHUNK_ROUNDS,
     SimConfig,
-    _account,
+    _chunk,
     _chunk_rng,
     _lead_before,
     _outcomes,
@@ -74,14 +74,14 @@ PAIRS = [("paper", "decrement"), ("full", "decrement"), ("full", "reset")]
 def _assert_matches_loop(a, b, uniforms, gamma, accounting, variant):
     """The loop-free path matches the loop and reads the same race uniforms."""
     fast_stream, slow_stream = iter(uniforms), iter(uniforms)
-    fast = _account(a, b, _lead_before(a, b, variant),
-                    lambda n: np.fromiter(fast_stream, np.float64, n),
-                    gamma, accounting, variant)
+    fast = _chunk(a, b, lambda n: np.fromiter(fast_stream, np.float64, n),
+                  gamma, accounting, variant)
     slow = _chunk_loop(a, b, slow_stream, gamma, accounting, variant)
     assert fast[0] == slow[0]
     assert fast[1] == slow[1]
     assert np.array_equal(fast[2], slow[2])
     assert list(fast_stream) == list(slow_stream)
+    return fast
 
 
 @pytest.mark.parametrize("accounting,variant", PAIRS)
@@ -128,6 +128,64 @@ def test_chunk_path_matches_loop_on_arbitrary_rounds(codes, gamma, data):
     for accounting, variant in PAIRS:
         _assert_matches_loop(codes >= 2, codes % 2 == 1, uniforms, gamma,
                              accounting, variant)
+
+
+@pytest.mark.parametrize("accounting,variant", PAIRS)
+@pytest.mark.parametrize("lam", [1e-9, 60.0])
+def test_chunk_path_matches_loop_without_steps(lam, accounting, variant):
+    """Every round idle (tiny lambda) or both-find (large lambda): the lead never moves."""
+    rp = round_success_probs(MiningParams(alpha=0.3, lam=lam, gamma=0.5))
+    rng = _chunk_rng(77, 0)
+    a, b = _outcomes(rng.random(CHUNK_ROUNDS), rp.p_attacker, rp.p_honest)
+    assert not np.any(a ^ b)
+    assert np.count_nonzero(a & b) == (CHUNK_ROUNDS if lam > 1.0 else 0)
+    fast = _assert_matches_loop(a, b, rng.random(CHUNK_ROUNDS), 0.5, accounting, variant)
+    assert fast[2].tolist() == [CHUNK_ROUNDS]
+
+
+@pytest.mark.parametrize("accounting,variant", PAIRS)
+def test_chunk_ending_on_a_step_to_a_new_top_lead(accounting, variant):
+    """No round starts at the lead the last step reaches, so it gets no occupancy bin."""
+    rp = round_success_probs(MiningParams(alpha=0.45, lam=0.5, gamma=0.5))
+    rng = _chunk_rng(77, 1)
+    a, b = _outcomes(rng.random(CHUNK_ROUNDS - 200), rp.p_attacker, rp.p_honest)
+    a = np.append(a, np.ones(200, dtype=bool))  # 200 attacker-only rounds to close
+    b = np.append(b, np.zeros(200, dtype=bool))
+    fast = _assert_matches_loop(a, b, rng.random(CHUNK_ROUNDS), 0.5, accounting, variant)
+    end_lead = _lead_before(a[a ^ b], variant)[-1]
+    assert len(fast[2]) == end_lead  # the top bin is the lead before the last round
+    assert fast[2][-1] == 1
+
+
+@pytest.mark.parametrize("accounting,variant", PAIRS)
+def test_simulate_one_round_past_a_chunk_matches_loop(accounting, variant):
+    """A full chunk and a one-round chunk, each replayed through the loop, then merged."""
+    config = SimConfig(params=REFERENCE, rounds=CHUNK_ROUNDS + 1, seed=5,
+                       accounting=accounting, variant=variant)
+    rp = round_success_probs(REFERENCE)
+    revenue_a = revenue_b = 0.0
+    counts = np.zeros(1, dtype=np.int64)
+    for index, rounds in enumerate((CHUNK_ROUNDS, 1)):
+        rng = _chunk_rng(5, index)
+        a, b = _outcomes(rng.random(rounds), rp.p_attacker, rp.p_honest)
+        ra, rb, occupancy = _chunk_loop(a, b, _counted(rng, []), REFERENCE.gamma,
+                                        accounting, variant)
+        revenue_a, revenue_b = revenue_a + ra, revenue_b + rb
+        counts = np.pad(counts, (0, max(0, len(occupancy) - len(counts))))
+        counts[:len(occupancy)] += occupancy
+    result = simulate(config)
+    assert (result.revenue_a, result.revenue_b) == (revenue_a, revenue_b)
+    assert result.occupancy == tuple((counts / config.rounds).tolist())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(codes=ROUND_CODES)
+def test_chunk_occupancy_counts_every_round_once(codes):
+    for accounting, variant in PAIRS:
+        occupancy = _chunk(codes >= 2, codes % 2 == 1, np.zeros, 0.5, accounting, variant)[2]
+        assert occupancy.dtype == np.int64
+        assert occupancy.sum() == len(codes)
+        assert occupancy[-1] > 0
 
 
 def _counted(rng, drawn):
