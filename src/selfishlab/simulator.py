@@ -173,11 +173,10 @@ def _lead_before(up: np.ndarray, variant: str) -> np.ndarray:
     last entry is the lead an idle sentinel round after the last step starts at.
     """
     m = len(up)
-    walk = np.cumsum(up.view(np.int8) * 2 - 1, dtype=np.int32)
     lead = np.zeros(m + 1, dtype=np.int32)
+    walk = np.cumsum(up.view(np.int8) * 2 - 1, dtype=np.int32, out=lead[1:])  # W after each step
     if variant == "decrement":
-        floor = np.minimum(walk, 0, out=lead[1:])
-        np.subtract(walk, np.minimum.accumulate(floor, out=floor), out=floor)
+        lead -= np.minimum.accumulate(lead)  # W reflected at 0: lead[0] = 0 opens the minimum
     else:
         rows = np.int64(m + 1)
         starts = np.flatnonzero(up)  # candidate excursion starts
@@ -198,7 +197,8 @@ def _lead_before(up: np.ndarray, variant: str) -> np.ndarray:
         bounds[0], bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = 0, starts, ends, m
         baselines = np.full(len(bounds) - 1, m + 1, dtype=np.int32)
         baselines[1::2] = walk[starts] - 1
-        np.maximum(walk - np.repeat(baselines, np.diff(bounds)), 0, out=lead[1:])
+        walk -= np.repeat(baselines, np.diff(bounds))
+        np.maximum(walk, 0, out=walk)
     return lead
 
 
