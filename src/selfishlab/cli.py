@@ -254,21 +254,28 @@ def _oracle_states(rho: float) -> int:
 
 
 def _oracle_suite(cases: int, seed: int) -> dict[str, Any]:
-    """Closed-form stationary masses vs the truncated-chain oracle."""
+    """Closed-form stationary masses vs the truncated-chain oracle.
+
+    ``worst_case`` gives p0..p3 and K of the case with the largest error.
+    """
     rng = np.random.default_rng(seed)
     failures = 0
     worst = 0.0
+    worst_case = ""
     for _ in range(cases):
         probs = _random_transition_probs(rng)
         dist = stationary(probs)
         K = _oracle_states(dist.rho)
         vector = stationary_truncated_oracle(probs, K)
         linf = float(max(abs(vector[k] - q_at(dist, k)) for k in range(K + 1)))
-        worst = max(worst, linf)
+        if not worst_case or linf > worst:
+            worst = linf
+            worst_case = (f"p0={probs.p0!r} p1={probs.p1!r} p2={probs.p2!r} "
+                          f"p3={probs.p3!r} K={K}")
         if linf > VERIFY_ORACLE_TOL:
             failures += 1
     return {"suite": "stationary-oracle", "cases": cases, "failures": failures,
-            "worst": worst, "tolerance": VERIFY_ORACLE_TOL}
+            "worst": worst, "worst_case": worst_case, "tolerance": VERIFY_ORACLE_TOL}
 
 
 def _mc_suite(seed: int) -> dict[str, Any]:

@@ -49,21 +49,28 @@ exactly one side finds, moves the lead: idle and both-find rounds keep it.
 ``_lead_before`` walks the steps alone: W = cumsum(x), x = +1 on an
 attacker-only step and -1 on an honest-only one.  "decrement": W reflected
 at 0.  "reset": an excursion opens at an attacker-only step i at lead 0 and
-ends at the first honest-only step j > i with W_j in {W_i, W_i - 1} (a down
-step from lead 2 or 1); the lead after a step is W minus a per-excursion
-baseline W_i - 1, clipped at 0, whose baselines are laid out by one
-``np.repeat`` (outside an excursion the baseline exceeds every W).  The
-walk ends with one idle sentinel, the lead at the chunk's end.  Lead k of
-that walk holds for the rounds in (step k-1, step k], and the sentinel's
-for the rounds after the last step, so one ``np.bincount`` weighted by those
-run lengths gives the occupancy; a chunk that ends on a step gives the
-sentinel no round, and its bin is dropped.  Paper revenue needs only four
-counts: honest-only steps at lead 1 (the races), at lead 2 and at lead
->= 3, and the races won.  Full accounting repeats each step's lead over
-its run to get the lead before every round, then pays fork segments: a
-segment starts at an open (or, under "decrement", at a collapse) in round
-k; resolved at round j it holds 1 + A_j - A_k private and B_j - B_k public
-blocks, A and B the cumsums of the attacker and honest outcomes.
+ends at the first step j > i with W_j <= W_i (a down step from lead 2 or
+1), found by one stable sort of the levels of W; the lead after a step is
+W minus a per-excursion baseline W_i - 1, clipped at 0, whose baselines
+are laid out by one ``np.repeat`` (outside an excursion the baseline
+exceeds every W).  The walk ends with one idle sentinel, the lead at the
+chunk's end.  Lead k of that walk holds for the rounds in (step k-1,
+step k], and the sentinel's for the rounds after the last step, so one
+``np.bincount`` weighted by those run lengths gives the occupancy; a
+chunk that ends on a step gives the sentinel no round, and its bin is
+dropped.  Paper revenue needs only four counts: honest-only steps at lead
+1 (the races), at lead 2 and at lead >= 3, and the races won.  Full
+accounting pays at excursion boundaries: an excursion opens at an
+attacker-only step at lead 0 and closes at an honest-only step at lead 1
+(a tie) or, under "reset", at lead 2.  Outside the excursions an
+honest-only step pays the honest side and a both-find round is a race; one
+``np.searchsorted`` of the open, close and fork-start steps into the
+both-find rounds counts them, and the races before open t precede the tie
+at close t.  A fork starts at an open (or, under "decrement", at a
+collapse) at step k; closed at step j it holds 1 + u + c private and
+d + 1 + c public blocks, where c counts the both-find rounds between
+them and the u up and d down steps between them satisfy
+u + d = j - k - 1 and u - d = L_j - 1, L_j the lead before j.
 ``tests/chunk_reference.py`` keeps the per-round loop that pins it.
 
 Determinism contract
@@ -178,16 +185,20 @@ def _lead_before(up: np.ndarray, variant: str) -> np.ndarray:
     if variant == "decrement":
         lead -= np.minimum.accumulate(lead)  # W reflected at 0: lead[0] = 0 opens the minimum
     else:
-        rows = np.int64(m + 1)
+        # the attacker-only step i closes its excursion at the first step j > i
+        # with W_j <= W_i: step i + 1 if it is honest-only, else the next step at
+        # level W_i, which follows i in (level, index) order.  W spans at most
+        # m + 1 <= CHUNK_ROUNDS + 1 < 2**16 levels, so the stable sort of
+        # uint16 levels is a radix sort.
+        level = (walk - walk.min(initial=0)).astype(np.uint16)
+        order = np.argsort(level, kind="stable")
+        level = level[order]
+        # the next step at each step's level, m where none follows
+        successor = np.full(m, m, dtype=np.int32)
+        same = np.flatnonzero(level[1:] == level[:-1])
+        successor[order[same]] = order[same + 1]
         starts = np.flatnonzero(up)  # candidate excursion starts
-        falls = np.flatnonzero(~up)
-        # honest-only steps sorted by the key (W + m + 1) * rows + index, then a sentinel
-        keys = np.append(np.sort((walk[falls] + rows) * rows + falls), np.iinfo(np.int64).max)
-        level = (walk[starts] + rows) * rows  # key of (W_i, step 0)
-        # first honest-only step after i at W_i and at W_i - 1; a miss lands past m
-        hits = [keys[np.searchsorted(keys, floor + starts + 1)] - floor
-                for floor in (level, level - rows)]
-        ends = np.minimum(np.minimum(*hits), m)
+        ends = np.where(np.append(up[1:], True)[starts], successor[starts], starts + 1)
         # candidate intervals nest or are disjoint: a start is real past all earlier ends
         opens = starts > np.concatenate(([-1], np.maximum.accumulate(ends)[:-1]))
         starts, ends = starts[opens], ends[opens]
@@ -253,34 +264,45 @@ def _chunk(a: np.ndarray, b: np.ndarray, draw: Callable[[int], np.ndarray],
         won = np.count_nonzero(draw(tied) < gamma)
         revenue_a, revenue_b = 2 * collapsed + shrunk + won, tied - won
     else:
-        lead = np.repeat(lead, runs.astype(np.intp))  # the lead before each round
-        del up, runs  # freed before the ledger's round-length temporaries
-        down = b & ~a
-        idle = lead == 0
-        tied = down & (lead == 1)
-        raced = tied | (a & b & idle)
-        wins = np.zeros_like(raced)
-        wins[raced] = draw(np.count_nonzero(raced)) < gamma
-        won = tied & wins
-        race_won = np.count_nonzero(wins & idle)
-        collapsed = down & (lead == 2)
-        revenue_b = np.count_nonzero(b & idle) - race_won
-        starts = a & ~b & idle
-        if variant == "decrement":
-            starts |= collapsed
-            private, revenue_a = won, race_won + 2 * np.count_nonzero(collapsed)
-        else:
-            private, revenue_a = won | collapsed, race_won
-        segment = np.flatnonzero(starts)
-
-        def grown(paid: np.ndarray, found: np.ndarray) -> int:
-            """Sum of found_j - found_k over paid rounds j, k the start of j's segment."""
-            ends = np.flatnonzero(paid)
-            begins = segment[np.searchsorted(segment, ends) - 1]
-            return int(found[ends].sum(dtype=np.int64) - found[begins].sum(dtype=np.int64))
-
-        revenue_a += np.count_nonzero(private) + grown(private, np.cumsum(a, dtype=np.int32))
-        revenue_b += grown(tied & ~won, np.cumsum(b, dtype=np.int32))
+        # excursions open at an attacker-only step at lead 0 and close at a tie
+        # or, under "reset", at a collapse; opens and closes alternate
+        after = np.cumsum(runs[:len(up)], out=runs[:len(up)])  # 1 + each step's round
+        lead, down = lead[:len(up)], ~up
+        zero, tied, collapsed = lead == 0, down & (lead == 1), down & (lead == 2)
+        opens = np.flatnonzero(up & zero)
+        if variant == "reset":
+            closes = np.flatnonzero(tied | collapsed)
+            begins = opens[:len(closes)]
+        else:  # a collapse pays 2 and restarts the fork at a one-block lead
+            closes = np.flatnonzero(tied)
+            starts = np.flatnonzero(up & zero | collapsed)
+            begins = starts[np.searchsorted(starts, closes) - 1]
+        ties = tied[closes]
+        # both-find rounds before each open, close and fork start; searching at
+        # 1 + a step's round counts the same, as no step is a both-find round.
+        # A chunk that ends at lead 0 ends as if an excursion opened there.
+        marks = after[opens] if len(opens) > len(closes) else np.append(after[opens], len(a))
+        both = np.flatnonzero(a & b)
+        opened, closed, begun = (np.searchsorted(both, at.astype(np.intp))
+                                 for at in (marks, after[closes], after[begins]))
+        del both, after, runs  # freed before the race uniforms are drawn
+        opened[1:] -= closed
+        idle = np.cumsum(opened)  # lead-0 races before each open
+        # the lead-0 races before open t come before close t, so a tie at close
+        # t reads uniform idle[t] + (ties up to t) - 1
+        wins = draw(int(idle[-1]) + np.count_nonzero(ties)) < gamma
+        won = wins[idle[:-1][ties] + np.cumsum(ties)[ties] - 1]
+        race_won = np.count_nonzero(wins) - np.count_nonzero(won)
+        # the fork from step k to close j holds 1 + ups + both-finds private and
+        # downs + 1 + both-finds public blocks, where ups + downs = j - k - 1 and
+        # ups - downs = lead[j] - 1: equal sizes at a tie
+        size = 1 + (closes - begins - 2 + lead[closes]) // 2 + closed - begun
+        paid = size[ties]
+        revenue_a = race_won + paid[won].sum()
+        revenue_a += (2 * np.count_nonzero(collapsed) if variant == "decrement"
+                      else size[~ties].sum())
+        revenue_b = (np.count_nonzero(zero) - len(opens) + int(idle[-1]) - race_won
+                     + paid[~won].sum())
     return float(revenue_a), float(revenue_b), occupancy
 
 

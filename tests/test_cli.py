@@ -10,6 +10,8 @@ import pytest
 
 from selfishlab import __version__
 from selfishlab.cli import run
+from selfishlab.markov import q_at, stationary, stationary_truncated_oracle
+from selfishlab.probmodel import TransitionProbs
 
 
 def run_json(capsys, argv):
@@ -234,6 +236,19 @@ def test_verify_worst_case_replays_the_largest_z(capsys):
     z = ((simulated["results"]["ratio"] - analytic["results"]["ratio"])
          / simulated["results"]["ratio_stderr"])
     assert abs(z) == suite["worst"]
+
+
+def test_verify_worst_case_replays_the_largest_oracle_error(capsys):
+    code, envelope, _ = run_json(capsys, ["verify", "--cases", "5", "--seed", "7"])
+    assert code == 0
+    suite = envelope["results"]["suites"][0]
+    assert suite["suite"] == "stationary-oracle"
+    case = dict(item.split("=") for item in suite["worst_case"].split())
+    probs = TransitionProbs(**{key: float(case[key]) for key in ("p0", "p1", "p2", "p3")})
+    K = int(case["K"])
+    dist = stationary(probs)
+    vector = stationary_truncated_oracle(probs, K)
+    assert max(abs(vector[k] - q_at(dist, k)) for k in range(K + 1)) == suite["worst"]
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):

@@ -99,7 +99,7 @@ def test_chunk_path_matches_loop(alpha, lam, gamma, accounting, variant):
 
 
 @pytest.mark.parametrize("accounting,variant", PAIRS)
-@pytest.mark.parametrize("rounds", [1, 2, 3])
+@pytest.mark.parametrize("rounds", [1, 2, 3, 4])
 def test_chunk_path_matches_loop_on_every_short_chunk(rounds, accounting, variant):
     # every sequence of (attacker finds, honest finds, tie-break below 1/2); a
     # chunk has at most one race per round, so the i-th race reads the i-th flag
@@ -155,6 +155,54 @@ def test_chunk_ending_on_a_step_to_a_new_top_lead(accounting, variant):
     end_lead = _lead_before(a[a ^ b], variant)[-1]
     assert len(fast[2]) == end_lead  # the top bin is the lead before the last round
     assert fast[2][-1] == 1
+
+
+# distinct race uniforms that alternate below and above gamma = 0.5, so any
+# reordering of two races that pay different amounts changes a revenue
+RACE_UNIFORMS = [(k + 0.5) / 12 for k in (0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6)]
+
+
+def _full_chunk(codes, variant):
+    codes = np.array(codes, dtype=np.int8)
+    return _assert_matches_loop(codes >= 2, codes % 2 == 1, RACE_UNIFORMS, 0.5,
+                                "full", variant)
+
+
+@pytest.mark.parametrize("variant,revenue", [("decrement", (8.0, 5.0)), ("reset", (9.0, 6.0))])
+def test_full_fork_pays_from_the_last_collapse(variant, revenue):
+    """Under decrement three collapses pay 2 each, and the tie pays the fork since the last."""
+    # race, open, up, both, collapse, up, up, down, collapse, both, up, collapse,
+    # both, both, tie (a fork of 3 blocks a side), honest, race, idle, race
+    codes = [3, 2, 2, 3, 1, 2, 2, 1, 1, 3, 2, 1, 3, 3, 1, 1, 3, 0, 3]
+    assert _full_chunk(codes, variant)[:2] == revenue
+
+
+@pytest.mark.parametrize("variant", ["decrement", "reset"])
+def test_full_chunk_ending_inside_an_excursion_pays_nothing_for_it(variant):
+    # race, open, tie, race, then an excursion with three both-find rounds left open
+    codes = [3, 2, 1, 3, 2, 3, 2, 2, 3, 1, 3]
+    up = np.array(codes)[np.isin(codes, (1, 2))] == 2
+    assert _lead_before(up, variant)[-1] == 2
+    assert _full_chunk(codes, variant)[:2] == (2.0, 1.0)
+
+
+@pytest.mark.parametrize("variant,revenue", [("decrement", (8.0, 8.0)), ("reset", (9.0, 8.0))])
+def test_full_lead_zero_races_interleave_with_ties(variant, revenue):
+    """Lead-0 races before the first open, between excursions and after the last close."""
+    # race, race, idle, open, both, tie (2 a side), race, idle, race, open, both,
+    # both, tie (3 a side), honest, race, open, up, both, collapse, down, race, race
+    codes = [3, 3, 0, 2, 3, 1, 3, 0, 3, 2, 3, 3, 1, 1, 3, 2, 2, 3, 1, 1, 3, 3]
+    assert _full_chunk(codes, variant)[:2] == revenue
+
+
+@pytest.mark.parametrize("accounting,variant", PAIRS)
+def test_walk_spans_a_whole_chunk(accounting, variant):
+    """A chunk of attacker-only rounds, then of honest-only ones: the walk spans
+    CHUNK_ROUNDS levels, which the reset search's uint16 levels must hold."""
+    for top in (CHUNK_ROUNDS, CHUNK_ROUNDS // 2):
+        a = np.arange(CHUNK_ROUNDS) < top
+        fast = _assert_matches_loop(a, ~a, np.zeros(2), 0.5, accounting, variant)
+        assert len(fast[2]) == min(top + 1, CHUNK_ROUNDS)  # leads 0 to top
 
 
 @pytest.mark.parametrize("accounting,variant", PAIRS)
