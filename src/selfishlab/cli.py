@@ -71,6 +71,10 @@ VERIFY_ORACLE_TOL = 1e-10
 VERIFY_MC_ROUNDS = 1_000_000
 VERIFY_MAX_ABS_Z = 4.0
 VERIFY_MAX_OCC_LINF = 0.008
+VERIFY_MC_CONFIGS = tuple((alpha, lam, gamma)
+                          for alpha in (0.1, 0.3) for lam in (0.5, 2.0) for gamma in (0.0, 0.5))
+# simulation case i runs with seed + i, and every simulation seed is 64-bit
+VERIFY_MAX_SEED = 2 ** 64 - len(VERIFY_MC_CONFIGS)
 
 MC_CHECK_ALPHA_OFFSET = 0.02
 
@@ -169,6 +173,11 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
         "gamma": grid.gamma,
     }
     if args.mc_check is not None:
+        # checked before the sweep, since only cells with 0 < alpha* < 1/2 simulate
+        if args.mc_check < 1:
+            raise InvalidParam(f"--mc-check must be at least 1, got {args.mc_check}")
+        if not 0 <= args.mc_seed < 2 ** 64:
+            raise InvalidParam(f"--mc-seed must be a 64-bit unsigned integer, got {args.mc_seed}")
         inputs.update(mc_check=args.mc_check, mc_seed=args.mc_seed)
     rows = []
     for cell in resistance_sweep(grid):
@@ -283,13 +292,11 @@ def _mc_suite(seed: int) -> dict[str, Any]:
 
     ``worst_case`` is the ``simulate`` argv of the config with the largest |z|.
     """
-    configs = [(alpha, lam, gamma)
-               for alpha in (0.1, 0.3) for lam in (0.5, 2.0) for gamma in (0.0, 0.5)]
     failures = 0
     worst_z = 0.0
     worst_occ = 0.0
     worst_case = ""
-    for index, (alpha, lam, gamma) in enumerate(configs):
+    for index, (alpha, lam, gamma) in enumerate(VERIFY_MC_CONFIGS):
         config = SimConfig(params=MiningParams(alpha=alpha, lam=lam, gamma=gamma),
                            rounds=VERIFY_MC_ROUNDS, seed=seed + index)
         report = compare_to_analytic(config)
@@ -301,7 +308,7 @@ def _mc_suite(seed: int) -> dict[str, Any]:
         if (abs(report.z_score) > VERIFY_MAX_ABS_Z
                 or report.occupancy_linf > VERIFY_MAX_OCC_LINF):
             failures += 1
-    return {"suite": "simulation-analytic", "cases": len(configs), "failures": failures,
+    return {"suite": "simulation-analytic", "cases": len(VERIFY_MC_CONFIGS), "failures": failures,
             "worst": worst_z, "worst_case": worst_case, "worst_occupancy_linf": worst_occ,
             "max_abs_z": VERIFY_MAX_ABS_Z, "max_occupancy_linf": VERIFY_MAX_OCC_LINF}
 
@@ -309,6 +316,8 @@ def _mc_suite(seed: int) -> dict[str, Any]:
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
     if args.cases < 1:
         raise InvalidParam(f"--cases must be at least 1, got {args.cases}")
+    if not 0 <= args.seed <= VERIFY_MAX_SEED:
+        raise InvalidParam(f"--seed must be in [0, {VERIFY_MAX_SEED}], got {args.seed}")
     suites = [_oracle_suite(args.cases, args.seed), _mc_suite(args.seed)]
     failures = sum(suite["failures"] for suite in suites)
     results = {"suites": suites, "passed": failures == 0}

@@ -43,13 +43,13 @@ their algebra.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergentLead, InvalidParam
-from .probmodel import MiningParams, TransitionProbs, derive_transition_probs, lead_ratio
+from .probmodel import (MiningParams, TransitionProbs, _require_gamma, derive_transition_probs,
+                        lead_ratio)
 
 __all__ = [
     "TransitionProbs",
@@ -59,7 +59,6 @@ __all__ = [
     "q_at",
     "revenue_rates",
     "revenue_ratio",
-    "share_verdict",
     "is_profitable",
     "stationary_truncated_oracle",
 ]
@@ -137,8 +136,7 @@ def revenue_rates(dist: StationaryDist, probs: TransitionProbs,
 
     with the geometric tail summed in closed form as q2 * rho / (1 - rho).
     """
-    if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
-        raise InvalidParam(f"gamma must be in [0, 1], got {gamma}")
+    _require_gamma(gamma)
     q2 = dist.q1 * dist.rho
     tail = q2 * dist.rho / (1.0 - dist.rho)
     r_a = (gamma * dist.q1 + 2.0 * q2 + tail) * probs.p3
@@ -158,23 +156,8 @@ def revenue_ratio(dist: StationaryDist, gamma: float) -> float:
     A function of ``dist.rho`` and gamma only; at rho = 0 it takes its limit
     gamma, the share of an attacker that mines however rarely.
     """
-    if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
-        raise InvalidParam(f"gamma must be in [0, 1], got {gamma}")
+    _require_gamma(gamma)
     return _share(dist.rho, gamma)
-
-
-def _rho_verdict(params: MiningParams) -> tuple[float, float, bool]:
-    if params.alpha >= 0.5:
-        raise DivergentLead(f"alpha={params.alpha} >= 1/2: attacker majority, no stationary lead")
-    rho = lead_ratio(params)
-    # rho < 1 for alpha < 1/2, but it may round to a few ulps above 1 next to 1/2
-    share = _share(min(rho, 1.0), params.gamma)
-    return rho, share, share > params.alpha
-
-
-def share_verdict(params: MiningParams) -> tuple[float, bool]:
-    """The share and verdict of ``is_profitable``, with rho from ``lead_ratio``."""
-    return _rho_verdict(params)[1:]
 
 
 def is_profitable(params: MiningParams) -> RevenueReport:
@@ -186,14 +169,18 @@ def is_profitable(params: MiningParams) -> RevenueReport:
     keeps its digits where p2 underflows.  Raises DivergentLead when
     alpha >= 1/2, or when rho rounds to 1 or above just below 1/2.
     """
-    rho, ratio, profitable = _rho_verdict(params)
+    if params.alpha >= 0.5:
+        raise DivergentLead(f"alpha={params.alpha} >= 1/2: attacker majority, no stationary lead")
+    rho = float(lead_ratio(params.alpha, params.lam))
     if rho >= 1.0:
         raise DivergentLead(f"rho = p2/p3 rounds to {rho!r} at alpha={params.alpha!r}, "
                             f"lam={params.lam!r}: no stationary lead distribution in "
                             "floating point")
+    ratio = _share(rho, params.gamma)
     dist = StationaryDist(q0=1.0 - rho, q1=rho * (1.0 - rho), rho=rho)
     r_a, r_b = revenue_rates(dist, derive_transition_probs(params), params.gamma)
-    return RevenueReport(r_a=r_a, r_b=r_b, ratio=ratio, profitable=profitable, dist=dist)
+    return RevenueReport(r_a=r_a, r_b=r_b, ratio=ratio, profitable=ratio > params.alpha,
+                         dist=dist)
 
 
 def stationary_truncated_oracle(probs: TransitionProbs, K: int) -> np.ndarray:

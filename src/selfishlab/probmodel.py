@@ -53,7 +53,6 @@ __all__ = [
     "round_success_probs",
     "derive_transition_probs",
     "lead_ratio",
-    "lead_ratios",
     "apply_fix",
 ]
 
@@ -61,6 +60,15 @@ __all__ = [
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise InvalidParam(message)
+
+
+def _require_lam(lam: float) -> None:
+    _require(math.isfinite(lam) and lam > 0.0, f"lam must be positive, got {lam}")
+
+
+def _require_gamma(gamma: float) -> None:
+    _require(math.isfinite(gamma) and 0.0 <= gamma <= 1.0,
+             f"gamma must be in [0, 1], got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -82,10 +90,8 @@ class MiningParams:
     def __post_init__(self) -> None:
         _require(math.isfinite(self.alpha) and 0.0 < self.alpha < 1.0,
                  f"alpha must be in (0, 1), got {self.alpha}")
-        _require(math.isfinite(self.lam) and self.lam > 0.0,
-                 f"lam must be positive, got {self.lam}")
-        _require(math.isfinite(self.gamma) and 0.0 <= self.gamma <= 1.0,
-                 f"gamma must be in [0, 1], got {self.gamma}")
+        _require_lam(self.lam)
+        _require_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -181,24 +187,13 @@ def derive_transition_probs(params: MiningParams) -> TransitionProbs:
     )
 
 
-def lead_ratio(params: MiningParams) -> float:
+def lead_ratio(alpha: float | np.ndarray, lam: float | np.ndarray) -> np.float64 | np.ndarray:
     """rho = p2 / p3 = expm1(a) / expm1(b), with a = alpha*lam and b = (1-alpha)*lam.
 
-    Evaluated as exp(a - b) * (a / b) * f(a) / f(b) with f(x) = (1 - exp(-x)) / x,
-    which cannot overflow and loses no digits when a falls below the normal range.
-    """
-    alpha, lam = params.alpha, params.lam
-    a, b = alpha * lam, (1.0 - alpha) * lam
-    f_a, f_b = (-math.expm1(-a) / a if a else 1.0), (-math.expm1(-b) / b if b else 1.0)
-    return math.exp((2.0 * alpha - 1.0) * lam) * alpha / (1.0 - alpha) * f_a / f_b
-
-
-def lead_ratios(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """``lead_ratio`` over broadcast arrays of alpha and lam, unvalidated.
-
-    The operations and their order are those of ``lead_ratio``, but numpy's
-    exp and expm1 may differ from libm's in the last place, so a value can
-    be a few ulps off the scalar one.
+    Takes floats or broadcast arrays, unvalidated, and returns a numpy
+    scalar or array.  Evaluated as exp(a - b) * (a / b) * f(a) / f(b) with
+    f(x) = (1 - exp(-x)) / x, which cannot overflow and loses no digits
+    when a falls below the normal range.
     """
     def f(x: np.ndarray) -> np.ndarray:
         return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0.0)

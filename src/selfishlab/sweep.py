@@ -11,12 +11,11 @@ intensity and therefore the whole attack model.
 Both run one search, ``_thresholds``, over an array of lambdas at once.
 The scan evaluates the share on a (GRID_POINTS, lambdas) array, and the
 open brackets are bisected in lock step, each until its width is at most
-``tol``.  rho comes from ``probmodel.lead_ratios``, the array twin of
-``lead_ratio``, and the share from ``markov._share``, the formula behind
-``markov.share_verdict``.  numpy's exp may differ from libm's in the last
-place, which can flip a verdict only where the share is within ulps of
-alpha; the tests pin ``alpha_star``, the bracket and the evaluation count
-bit for bit to a one-lambda-at-a-time scalar search.
+``tol``.  Each probe evaluates the share with ``probmodel.lead_ratio``
+and ``markov._share``, the same rho and share as ``is_profitable``, so a
+probe and ``analyze`` at the same point give the same verdict.  The tests
+pin ``alpha_star``, the bracket and the evaluation count bit for bit to a
+one-lambda-at-a-time search through ``is_profitable``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,8 @@ import numpy as np
 
 from .errors import InvalidParam
 from .markov import _share
-from .probmodel import ProtocolParams, lambda_from_protocol, lead_ratios
+from .probmodel import (ProtocolParams, _require_gamma, _require_lam, lambda_from_protocol,
+                        lead_ratio)
 
 __all__ = [
     "GRID_POINTS",
@@ -86,8 +86,7 @@ class SweepGrid:
                 raise InvalidParam(f"{name} must be strictly increasing, got {values}")
         if not (math.isfinite(self.hashrate) and self.hashrate > 0.0):
             raise InvalidParam(f"hashrate must be positive, got {self.hashrate}")
-        if not (math.isfinite(self.gamma) and 0.0 <= self.gamma <= 1.0):
-            raise InvalidParam(f"gamma must be in [0, 1], got {self.gamma}")
+        _require_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -106,8 +105,7 @@ def _thresholds(lams: Sequence[float], gamma: float, tol: float) -> list[Thresho
 
     def profitable(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
         # no probe comes within ALPHA_GUARD of 1/2, so rho stays below 0.9997
-        # and needs none of share_verdict's cap
-        return _share(lead_ratios(alpha, lam), gamma) > alpha
+        return _share(lead_ratio(alpha, lam), gamma) > alpha
 
     low, high = ALPHA_GUARD, 0.5 - ALPHA_GUARD
     step = (high - low) / (GRID_POINTS - 1)
@@ -136,16 +134,10 @@ def _thresholds(lams: Sequence[float], gamma: float, tol: float) -> list[Thresho
             for l, h, n in zip(lo.tolist(), hi.tolist(), evaluations.tolist())]
 
 
-def _require_lam(lam: float) -> None:
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise InvalidParam(f"lam must be positive, got {lam}")
-
-
 def profit_threshold(lam: float, gamma: float, tol: float = _TOL) -> ThresholdResult:
     """Locate the smallest alpha in (0, 1/2) where withholding is profitable."""
     _require_lam(lam)
-    if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
-        raise InvalidParam(f"gamma must be in [0, 1], got {gamma}")
+    _require_gamma(gamma)
     if not (math.isfinite(tol) and tol >= 1e-8):
         raise InvalidParam(f"tol must be at least 1e-8, got {tol}")
     return _thresholds([lam], gamma, tol)[0]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from selfishlab import __version__
-from selfishlab.cli import run
+from selfishlab.cli import VERIFY_MAX_SEED, run
 from selfishlab.markov import q_at, stationary, stationary_truncated_oracle
 from selfishlab.probmodel import TransitionProbs
 
@@ -177,6 +177,18 @@ def test_sweep_mc_check_unresolved_probe_has_no_verdict(capsys):
     assert cell["mc_consistent"] is None
 
 
+@pytest.mark.parametrize("gamma", ["0.5", "0"])   # no cell simulated / one cell simulated
+@pytest.mark.parametrize("flags", [["--mc-check", "-5"], ["--mc-check", "0"],
+                                   ["--mc-check", "10", "--mc-seed", "-1"],
+                                   ["--mc-check", "10", "--mc-seed", str(2 ** 64)]])
+def test_sweep_rejects_bad_mc_check_on_any_grid(capsys, gamma, flags):
+    assert run(["sweep", "--tenures", "120", "--difficulties", "6e7", "--hashrate", "1e6",
+                "--gamma", gamma] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flags[-2]} must be")
+
+
 def test_sweep_rejects_bad_axes(capsys):
     assert run(["sweep", "--tenures", "120,60", "--difficulties", "6e7",
                 "--hashrate", "1e6"]) == 2
@@ -258,6 +270,22 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     code = run(["verify", "--cases", "5", "--seed", "7"])
     assert code == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [-1, VERIFY_MAX_SEED + 1, 2 ** 64 - 1])
+def test_verify_rejects_seed_out_of_range(capsys, seed):
+    # simulation case i runs with seed + i, which must stay a 64-bit seed
+    assert run(["verify", "--cases", "5", "--seed", str(seed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --seed must be in [0, {VERIFY_MAX_SEED}], got {seed}\n"
+
+
+def test_verify_runs_at_the_largest_seed(capsys):
+    code, envelope, _ = run_json(capsys, ["verify", "--cases", "5",
+                                          "--seed", str(VERIFY_MAX_SEED)])
+    assert code == 0
+    assert envelope["results"]["passed"] is True
 
 
 def test_verify_csv(capsys):

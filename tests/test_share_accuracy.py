@@ -9,13 +9,14 @@ wherever the reference value is a normal double.
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from selfishlab.cli import run
 from selfishlab.errors import DivergentLead
-from selfishlab.markov import _share, is_profitable, share_verdict
+from selfishlab.markov import _share, is_profitable
 from selfishlab.probmodel import MiningParams, lead_ratio
 from selfishlab.sweep import profit_threshold
 
@@ -25,6 +26,8 @@ alphas = st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=T
 lams = st.floats(min_value=-12.0, max_value=3.0).map(lambda exponent: 10.0 ** exponent)
 gammas = st.floats(min_value=0.0, max_value=1.0)
 rhos = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+BELOW_HALF = 0.49999999999999994  # one ulp below 1/2
 
 
 def reference_share(alpha, lam, gamma):
@@ -60,8 +63,8 @@ def share_bound(lam):
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(alphas, lams, gammas)
 def test_share_is_a_fraction(alpha, lam, gamma):
-    share, _ = share_verdict(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
-    assert 0.0 <= share <= 1.0
+    report = is_profitable(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
+    assert 0.0 <= report.ratio <= 1.0
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
@@ -76,14 +79,15 @@ def test_share_is_non_decreasing_in_rho(rho_a, rho_b, gamma):
 def test_share_matches_reference(alpha, lam, gamma):
     reference = reference_share(alpha, lam, gamma)
     assume(reference >= sys.float_info.min)
-    share, _ = share_verdict(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
-    assert relative_error(share, reference) <= share_bound(lam)
+    report = is_profitable(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
+    assert relative_error(report.ratio, reference) <= share_bound(lam)
 
 
 @pytest.mark.parametrize("alpha,lam,gamma,expected", [
     (0.3, 50.0, 0.0, 4.12e-9),       # the cancelling form returned -7.7e-9
     (1e-6, 1.0, 0.0, 1.164e-6),      # the cancelling form erred by 1.4e-5
     (0.4999999999, 1.0, 0.5, 1.0),   # the normalization check rejected this
+    (BELOW_HALF, 0.5, 0.0, 1.0),     # 1 - rho = 2.5e-16; a libm rho rounded to 1 here
     (0.3, 800.0, 0.0, 2.12e-139),    # 1 - p_attacker rounded to 0: p3 = 0
     (0.2, 1000.0, 0.5, 0.5),         # p2 underflows to 0, rho does not
     (0.2, 1000.0, 0.0, 5.30e-261),
@@ -95,23 +99,21 @@ def test_share_regression_points(alpha, lam, gamma, expected):
     assert relative_error(report.ratio, reference_share(alpha, lam, gamma)) <= share_bound(lam)
 
 
-def test_share_next_to_one_half():
-    # one ulp below 1/2, rho rounds to just above 1; the share is 1 to rounding
-    params = MiningParams(alpha=0.49999999999999994, lam=1.4127820745055908, gamma=0.0)
-    assert lead_ratio(params) > 1.0
-    assert share_verdict(params) == (1.0, True)
-    with pytest.raises(DivergentLead):
-        share_verdict(MiningParams(alpha=0.5, lam=1.0, gamma=0.0))
+def refused_lams():
+    # the lambdas of a scan where rho, one ulp below 1/2, rounds to 1 or above
+    lams = np.linspace(0.01, 50.0, 5001)
+    return lams[lead_ratio(BELOW_HALF, lams) >= 1.0].tolist()
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.4127820745055908])
-def test_report_refuses_rho_rounded_to_one(lam):
-    # rho rounds to exactly 1 at lam = 0.5 and above 1 at the second point;
+def test_report_refuses_rho_rounded_to_one():
     # the distribution would not normalize, which is a model error, not bad input
-    params = MiningParams(alpha=0.49999999999999994, lam=lam, gamma=0.0)
-    assert lead_ratio(params) >= 1.0
-    with pytest.raises(DivergentLead, match="rounds to"):
-        is_profitable(params)
+    lams = refused_lams()
+    assert lams
+    for lam in lams:
+        with pytest.raises(DivergentLead, match="rounds to"):
+            is_profitable(MiningParams(alpha=BELOW_HALF, lam=lam, gamma=0.0))
+    with pytest.raises(DivergentLead, match="attacker majority"):
+        is_profitable(MiningParams(alpha=0.5, lam=1.0, gamma=0.0))
 
 
 def test_report_distribution_uses_the_same_rho():
@@ -156,6 +158,7 @@ def test_threshold_brackets_the_reference_crossing(lam, alpha_star):
 @pytest.mark.parametrize("argv", [
     ["analyze", "--alpha", "0.4999999999", "--lambda", "1"],
     ["analyze", "--alpha", "0.49999999999999994", "--lambda", "1"],
+    ["analyze", "--alpha", "0.49999999999999994", "--lambda", "0.5"],
     ["analyze", "--alpha", "0.2", "--lambda", "1000"],
     ["threshold", "--lambda", "100", "--gamma", "0"],
 ])
@@ -165,5 +168,6 @@ def test_cli_accepts_former_failures(capsys, argv):
 
 
 def test_cli_rho_rounded_to_one_is_a_model_error(capsys):
-    assert run(["analyze", "--alpha", "0.49999999999999994", "--lambda", "0.5"]) == 3
+    lam = refused_lams()[0]
+    assert run(["analyze", "--alpha", repr(BELOW_HALF), "--lambda", repr(lam)]) == 3
     assert "rounds to 1.0" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from selfishlab.errors import InvalidParam
 from selfishlab.markov import is_profitable
-from selfishlab.probmodel import MiningParams, lead_ratio, lead_ratios
+from selfishlab.probmodel import MiningParams
 from selfishlab.sweep import SweepGrid, _thresholds, profit_threshold, resistance_sweep
 from threshold_reference import profit_threshold as reference_threshold
 
@@ -160,16 +160,20 @@ def test_every_sweep_cell_matches_reference(gamma):
             assert cell.alpha_star == reference_threshold(cell.lam, gamma).alpha_star
 
 
-def test_array_rho_within_four_epsilons_of_scalar():
-    rng = np.random.default_rng(17)
-    n = 100_000
-    alphas = rng.uniform(0.0, 0.5, n)
-    alphas[alphas == 0.0] = 0.25
-    lams = _log_uniform(rng, 1e-12, 1e3, n)
-    scalar = np.array([lead_ratio(MiningParams(alpha=a, lam=lam, gamma=0.0))
-                       for a, lam in zip(alphas.tolist(), lams.tolist())])
-    # numpy's exp and expm1 may each differ from libm's in the last place;
-    # rho stays within 4 epsilons of the scalar value, relative, or within
-    # 4 ulps where it is subnormal
-    bound = 4.0 * (np.finfo(float).eps * scalar + np.finfo(float).smallest_subnormal)
-    assert np.all(np.abs(lead_ratios(alphas, lams) - scalar) <= bound)
+@pytest.mark.parametrize("tol", (1e-8, 1e-6))
+def test_analyze_agrees_with_the_search_at_the_bracket_ends(tol):
+    # the search and is_profitable evaluate one rho and one share, so they
+    # agree at the probes closest to the crossing; gamma >= 1e-4 closes
+    # every bracket at alpha_star = 0, hence the tiny and zero gammas
+    rng = np.random.default_rng(23)
+    lams = _log_uniform(rng, 1.0, 100.0, 30).tolist()
+    gammas = [0.0] * 10 + _log_uniform(rng, 1e-9, 1e-4, 20).tolist()
+    crossings = 0
+    for lam, gamma in zip(lams, gammas):
+        low, high = profit_threshold(lam, gamma, tol).bracket
+        if low == high:
+            continue
+        crossings += 1
+        assert not is_profitable(MiningParams(alpha=low, lam=lam, gamma=gamma)).profitable
+        assert is_profitable(MiningParams(alpha=high, lam=lam, gamma=gamma)).profitable
+    assert crossings >= 25

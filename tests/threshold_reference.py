@@ -1,7 +1,7 @@
 """Scalar reference for the threshold search.
 
 ``profit_threshold`` searches one (lam, gamma) at a time with one
-``markov.share_verdict`` call per probe: a 64-point scan over the
+``markov.is_profitable`` call per probe: a 64-point scan over the
 admissible range, then bisection of the first profitable bracket.  The
 package's lock-step search (``sweep._thresholds``) runs the same probes on
 arrays of lambdas, and the tests pin it to this reference bit for bit.
@@ -10,22 +10,20 @@ arrays of lambdas, and the tests pin it to this reference bit for bit.
 import math
 
 from selfishlab.errors import InvalidParam
-from selfishlab.markov import share_verdict
-from selfishlab.probmodel import MiningParams
+from selfishlab.markov import is_profitable
+from selfishlab.probmodel import MiningParams, _require_gamma, _require_lam
 from selfishlab.sweep import ALPHA_GUARD, GRID_POINTS, ThresholdResult
 
 
 def profit_threshold(lam: float, gamma: float, tol: float = 1e-6) -> ThresholdResult:
     """Locate the smallest alpha in (0, 1/2) where withholding is profitable."""
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise InvalidParam(f"lam must be positive, got {lam}")
-    if not (math.isfinite(gamma) and 0.0 <= gamma <= 1.0):
-        raise InvalidParam(f"gamma must be in [0, 1], got {gamma}")
+    _require_lam(lam)
+    _require_gamma(gamma)
     if not (math.isfinite(tol) and tol >= 1e-8):
         raise InvalidParam(f"tol must be at least 1e-8, got {tol}")
 
     def profitable(alpha: float) -> bool:
-        return share_verdict(MiningParams(alpha=alpha, lam=lam, gamma=gamma))[1]
+        return is_profitable(MiningParams(alpha=alpha, lam=lam, gamma=gamma)).profitable
 
     low, high = ALPHA_GUARD, 0.5 - ALPHA_GUARD
     step = (high - low) / (GRID_POINTS - 1)
