@@ -14,41 +14,10 @@ from .errors import (
     InvalidParam,
     SelfishLabError,
 )
-from .markov import (
-    RevenueReport,
-    StationaryDist,
-    is_profitable,
-    q_at,
-    revenue_rates,
-    revenue_ratio,
-    stationary,
-    stationary_truncated_oracle,
-)
-from .probmodel import (
-    MiningParams,
-    ProtocolParams,
-    RoundProbs,
-    TransitionProbs,
-    apply_fix,
-    derive_transition_probs,
-    lambda_from_protocol,
-    round_success_probs,
-)
-from .simulator import (
-    CHUNK_ROUNDS,
-    ComparisonReport,
-    SimConfig,
-    SimResult,
-    compare_to_analytic,
-    simulate,
-)
-from .sweep import (
-    SweepCell,
-    SweepGrid,
-    ThresholdResult,
-    profit_threshold,
-    resistance_sweep,
-)
+from .markov import is_profitable
+from .probmodel import MiningParams
+from .simulator import SimConfig, simulate
+from .sweep import profit_threshold
 
 __all__ = [
     "__version__",
@@ -57,30 +26,8 @@ __all__ = [
     "InvalidConfig",
     "DivergentLead",
     "MiningParams",
-    "ProtocolParams",
-    "RoundProbs",
-    "TransitionProbs",
-    "lambda_from_protocol",
-    "round_success_probs",
-    "derive_transition_probs",
-    "apply_fix",
-    "StationaryDist",
-    "RevenueReport",
-    "stationary",
-    "q_at",
-    "revenue_rates",
-    "revenue_ratio",
-    "is_profitable",
-    "stationary_truncated_oracle",
-    "CHUNK_ROUNDS",
     "SimConfig",
-    "SimResult",
-    "ComparisonReport",
     "simulate",
-    "compare_to_analytic",
-    "ThresholdResult",
-    "SweepGrid",
-    "SweepCell",
+    "is_profitable",
     "profit_threshold",
-    "resistance_sweep",
 ]

@@ -52,7 +52,6 @@ from .probmodel import (MiningParams, TransitionProbs, _require_gamma, derive_tr
                         lead_ratio)
 
 __all__ = [
-    "TransitionProbs",
     "StationaryDist",
     "RevenueReport",
     "stationary",

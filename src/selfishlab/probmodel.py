@@ -47,7 +47,6 @@ from .errors import InvalidParam
 __all__ = [
     "MiningParams",
     "ProtocolParams",
-    "RoundProbs",
     "TransitionProbs",
     "lambda_from_protocol",
     "round_success_probs",
@@ -63,7 +62,8 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _require_lam(lam: float) -> None:
-    _require(math.isfinite(lam) and lam > 0.0, f"lam must be positive, got {lam}")
+    _require(math.isfinite(lam), f"lam must be finite, got {lam}")
+    _require(lam > 0.0, f"lam must be positive, got {lam}")
 
 
 def _require_gamma(gamma: float) -> None:
@@ -115,24 +115,6 @@ class ProtocolParams:
 
 
 @dataclass(frozen=True)
-class RoundProbs:
-    """Per-round success probabilities of the two mining pools.
-
-    Mathematically both probabilities are strictly below 1 for finite
-    intensities; for very large ``alpha * lam`` the exponential saturates
-    to 1.0 in floating point, which downstream code tolerates.
-    """
-
-    p_attacker: float
-    p_honest: float
-
-    def __post_init__(self) -> None:
-        for name in ("p_attacker", "p_honest"):
-            value = getattr(self, name)
-            _require(0.0 <= value <= 1.0, f"{name} must be a probability, got {value}")
-
-
-@dataclass(frozen=True)
 class TransitionProbs:
     """The four named transition probabilities of the lead state machine.
 
@@ -167,23 +149,21 @@ def lambda_from_protocol(proto: ProtocolParams) -> float:
     return proto.tenure * proto.hashrate / proto.difficulty
 
 
-def round_success_probs(params: MiningParams) -> RoundProbs:
-    """Probability that each side finds at least one header in a round."""
-    return RoundProbs(
-        p_attacker=-math.expm1(-params.alpha * params.lam),
-        p_honest=-math.expm1(-(1.0 - params.alpha) * params.lam),
-    )
+def round_success_probs(params: MiningParams) -> tuple[float, float]:
+    """(p_attacker, p_honest): each side's chance to find a header in a round, in [0, 1]."""
+    return (-math.expm1(-params.alpha * params.lam),
+            -math.expm1(-(1.0 - params.alpha) * params.lam))
 
 
 def derive_transition_probs(params: MiningParams) -> TransitionProbs:
     """Map mining parameters to the lead machine's transition probabilities."""
-    rp = round_success_probs(params)
-    extend = rp.p_attacker * math.exp(-(1.0 - params.alpha) * params.lam)
+    p_attacker, p_honest = round_success_probs(params)
+    extend = p_attacker * math.exp(-(1.0 - params.alpha) * params.lam)
     return TransitionProbs(
         p0=extend,
-        p1=rp.p_attacker * rp.p_honest,
+        p1=p_attacker * p_honest,
         p2=extend,
-        p3=math.exp(-params.alpha * params.lam) * rp.p_honest,
+        p3=math.exp(-params.alpha * params.lam) * p_honest,
     )
 
 
@@ -213,4 +193,7 @@ def apply_fix(params: MiningParams, header_multiplier: float) -> MiningParams:
     """
     _require(math.isfinite(header_multiplier) and header_multiplier >= 1.0,
              f"header_multiplier must be >= 1, got {header_multiplier}")
-    return replace(params, lam=params.lam * header_multiplier, gamma=0.0)
+    lam = params.lam * header_multiplier
+    _require(math.isfinite(lam), f"lam * header_multiplier overflows: "
+                                 f"{params.lam} * {header_multiplier} = {lam}")
+    return replace(params, lam=lam, gamma=0.0)

@@ -323,7 +323,7 @@ def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
     if config.params.alpha >= 0.5:
         raise InvalidConfig(f"alpha must be below 0.5 for a stable lead, "
                             f"got {config.params.alpha}")
-    rp = round_success_probs(config.params)
+    p_attacker, p_honest = round_success_probs(config.params)
     gamma = config.params.gamma
 
     sizes = [CHUNK_ROUNDS] * (config.rounds // CHUNK_ROUNDS)
@@ -331,9 +331,8 @@ def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
         sizes.append(config.rounds % CHUNK_ROUNDS)
 
     def run_chunk(index: int) -> tuple[float, float, np.ndarray]:
-        return _simulate_chunk(_chunk_rng(config.seed, index), rp.p_attacker,
-                               rp.p_honest, gamma, config.accounting, config.variant,
-                               sizes[index])
+        return _simulate_chunk(_chunk_rng(config.seed, index), p_attacker, p_honest,
+                               gamma, config.accounting, config.variant, sizes[index])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -7,22 +7,12 @@ import time
 import numpy as np
 import pytest
 
-from selfishlab import (
-    MiningParams,
-    SimConfig,
-    TransitionProbs,
-    apply_fix,
-    compare_to_analytic,
-    is_profitable,
-    profit_threshold,
-    q_at,
-    revenue_ratio,
-    revenue_rates,
-    simulate,
-    stationary,
-    stationary_truncated_oracle,
-)
+from selfishlab import MiningParams, SimConfig, is_profitable, profit_threshold, simulate
 from selfishlab.cli import run
+from selfishlab.markov import (q_at, revenue_rates, revenue_ratio, stationary,
+                               stationary_truncated_oracle)
+from selfishlab.probmodel import TransitionProbs, apply_fix
+from selfishlab.simulator import compare_to_analytic
 
 
 def _report(name, detail):

@@ -222,6 +222,18 @@ def test_fix_rejects_small_multiplier(capsys):
     assert run(["fix", "--alpha", "0.3", "--lambda", "1", "--multiplier", "0.5"]) == 2
 
 
+def test_overflowing_lambda_names_the_overflow(capsys):
+    cases = [("fix --alpha 0.3 --lambda 1e308 --multiplier 10",
+              "lam * header_multiplier overflows: 1e+308 * 10.0 = inf"),
+             ("analyze --alpha 0.3 --tenure 1e300 --difficulty 1e-10 --hashrate 1e10",
+              "lam must be finite, got inf"),
+             ("sweep --tenures 1e300 --difficulties 1e-10 --hashrate 1e10",
+              "lam must be finite, got inf")]
+    for argv, message in cases:
+        assert run(argv.split()) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_verify_passes_small_run(capsys):
     code, envelope, _ = run_json(capsys, ["verify", "--cases", "40", "--seed", "7"])
     assert code == 0

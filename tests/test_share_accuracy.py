@@ -11,7 +11,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from selfishlab.cli import run
@@ -28,6 +28,7 @@ gammas = st.floats(min_value=0.0, max_value=1.0)
 rhos = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
 BELOW_HALF = 0.49999999999999994  # one ulp below 1/2
+REFUSED_LAM = 0.60988  # one of refused_lams(): rho at BELOW_HALF rounds to 1
 
 
 def reference_share(alpha, lam, gamma):
@@ -60,11 +61,22 @@ def share_bound(lam):
     return 1e-13 if lam <= 100.0 else 1e-12
 
 
+def report_unless_refused(alpha, lam, gamma):
+    """The report, or None where rho rounds to 1 and is_profitable refused as documented."""
+    params = MiningParams(alpha=alpha, lam=lam, gamma=gamma)
+    if float(lead_ratio(alpha, lam)) >= 1.0:
+        with pytest.raises(DivergentLead, match="rounds to"):
+            is_profitable(params)
+        return None
+    return is_profitable(params)
+
+
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(alphas, lams, gammas)
+@example(BELOW_HALF, REFUSED_LAM, 0.0)
 def test_share_is_a_fraction(alpha, lam, gamma):
-    report = is_profitable(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
-    assert 0.0 <= report.ratio <= 1.0
+    report = report_unless_refused(alpha, lam, gamma)
+    assert report is None or 0.0 <= report.ratio <= 1.0
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
@@ -76,11 +88,13 @@ def test_share_is_non_decreasing_in_rho(rho_a, rho_b, gamma):
 
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(alphas, lams, gammas)
+@example(BELOW_HALF, REFUSED_LAM, 0.0)
 def test_share_matches_reference(alpha, lam, gamma):
-    reference = reference_share(alpha, lam, gamma)
-    assume(reference >= sys.float_info.min)
-    report = is_profitable(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
-    assert relative_error(report.ratio, reference) <= share_bound(lam)
+    report = report_unless_refused(alpha, lam, gamma)
+    if report is not None:
+        reference = reference_share(alpha, lam, gamma)
+        assume(reference >= sys.float_info.min)
+        assert relative_error(report.ratio, reference) <= share_bound(lam)
 
 
 @pytest.mark.parametrize("alpha,lam,gamma,expected", [
@@ -108,7 +122,7 @@ def refused_lams():
 def test_report_refuses_rho_rounded_to_one():
     # the distribution would not normalize, which is a model error, not bad input
     lams = refused_lams()
-    assert lams
+    assert REFUSED_LAM in lams
     for lam in lams:
         with pytest.raises(DivergentLead, match="rounds to"):
             is_profitable(MiningParams(alpha=BELOW_HALF, lam=lam, gamma=0.0))

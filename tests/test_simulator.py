@@ -94,7 +94,7 @@ def _assert_matches_loop(a, b, uniforms, gamma, accounting, variant):
 def test_chunk_path_matches_loop(alpha, lam, gamma, accounting, variant):
     rp = round_success_probs(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
     rng = _chunk_rng(77, 0)
-    a, b = _outcomes(rng.random(CHUNK_ROUNDS), rp.p_attacker, rp.p_honest)
+    a, b = _outcomes(rng.random(CHUNK_ROUNDS), *rp)
     _assert_matches_loop(a, b, rng.random(CHUNK_ROUNDS), gamma, accounting, variant)
 
 
@@ -136,7 +136,7 @@ def test_chunk_path_matches_loop_without_steps(lam, accounting, variant):
     """Every round idle (tiny lambda) or both-find (large lambda): the lead never moves."""
     rp = round_success_probs(MiningParams(alpha=0.3, lam=lam, gamma=0.5))
     rng = _chunk_rng(77, 0)
-    a, b = _outcomes(rng.random(CHUNK_ROUNDS), rp.p_attacker, rp.p_honest)
+    a, b = _outcomes(rng.random(CHUNK_ROUNDS), *rp)
     assert not np.any(a ^ b)
     assert np.count_nonzero(a & b) == (CHUNK_ROUNDS if lam > 1.0 else 0)
     fast = _assert_matches_loop(a, b, rng.random(CHUNK_ROUNDS), 0.5, accounting, variant)
@@ -148,7 +148,7 @@ def test_chunk_ending_on_a_step_to_a_new_top_lead(accounting, variant):
     """No round starts at the lead the last step reaches, so it gets no occupancy bin."""
     rp = round_success_probs(MiningParams(alpha=0.45, lam=0.5, gamma=0.5))
     rng = _chunk_rng(77, 1)
-    a, b = _outcomes(rng.random(CHUNK_ROUNDS - 200), rp.p_attacker, rp.p_honest)
+    a, b = _outcomes(rng.random(CHUNK_ROUNDS - 200), *rp)
     a = np.append(a, np.ones(200, dtype=bool))  # 200 attacker-only rounds to close
     b = np.append(b, np.zeros(200, dtype=bool))
     fast = _assert_matches_loop(a, b, rng.random(CHUNK_ROUNDS), 0.5, accounting, variant)
@@ -215,7 +215,7 @@ def test_simulate_one_round_past_a_chunk_matches_loop(accounting, variant):
     counts = np.zeros(1, dtype=np.int64)
     for index, rounds in enumerate((CHUNK_ROUNDS, 1)):
         rng = _chunk_rng(5, index)
-        a, b = _outcomes(rng.random(rounds), rp.p_attacker, rp.p_honest)
+        a, b = _outcomes(rng.random(rounds), *rp)
         ra, rb, occupancy = _chunk_loop(a, b, _counted(rng, []), REFERENCE.gamma,
                                         accounting, variant)
         revenue_a, revenue_b = revenue_a + ra, revenue_b + rb
@@ -248,11 +248,10 @@ def _counted(rng, drawn):
 def test_chunk_draws_one_uniform_per_round_and_one_per_race(rounds, accounting, variant):
     rp = round_success_probs(REFERENCE)
     rng = _chunk_rng(5, 2)
-    fast = _simulate_chunk(rng, rp.p_attacker, rp.p_honest, REFERENCE.gamma,
-                           accounting, variant, rounds)
+    fast = _simulate_chunk(rng, *rp, REFERENCE.gamma, accounting, variant, rounds)
 
     replay, races = _chunk_rng(5, 2), []
-    a, b = _outcomes(replay.random(rounds), rp.p_attacker, rp.p_honest)
+    a, b = _outcomes(replay.random(rounds), *rp)
     slow = _chunk_loop(a, b, _counted(replay, races), REFERENCE.gamma, accounting, variant)
     assert fast[:2] == slow[:2]
     assert np.array_equal(fast[2], slow[2])
@@ -302,15 +301,14 @@ def test_outcomes_at_impossible_and_certain_finds(p_attacker, p_honest):
 
 def test_outcomes_at_extreme_intensities():
     saturated = round_success_probs(MiningParams(alpha=0.3, lam=1e3))
-    assert saturated.p_honest == 1.0
+    assert saturated[1] == 1.0
     faint = round_success_probs(MiningParams(alpha=0.1, lam=1e-12))
-    assert faint.p_attacker == pytest.approx(1e-13, rel=1e-9)
-    assert faint.p_honest == pytest.approx(9e-13, rel=1e-9)
+    assert faint == pytest.approx((1e-13, 9e-13), rel=1e-9)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        a, b = _outcomes(EDGE_U, saturated.p_attacker, saturated.p_honest)
+        a, b = _outcomes(EDGE_U, *saturated)
         assert a.all() and b.all()
-        a, b = _outcomes(EDGE_U, faint.p_attacker, faint.p_honest)
+        a, b = _outcomes(EDGE_U, *faint)
     # only u = 0 lies below p_a p_b; every other grid point is above p_a and p_b
     assert np.flatnonzero(a).tolist() == [0]
     assert np.flatnonzero(b).tolist() == [0]
