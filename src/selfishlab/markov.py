@@ -29,10 +29,12 @@ revenue depends on rho and gamma alone, rising from gamma at rho = 0 to 1:
     share = (gamma*(1 - rho) + rho*(2 - rho)) / (1 + rho*(1 - rho))
 
 In this stylized accounting honest miners are credited only for won
-races, so the attacker's revenue share never falls below one half when
-``gamma = 0.5``; profitability thresholds become informative for
-``gamma < 0.5`` (or for the simulator's full ledger accounting, which also
-credits honest blocks appended while no private branch exists).
+races, so the share never falls below its rho -> 0 limit gamma: an
+attacker smaller than gamma always profits, and the threshold search
+returns 0 for any gamma above its first probe ``sweep.ALPHA_GUARD``.  A
+nonzero threshold needs gamma = 0 (below ``ALPHA_GUARD``) and a lambda
+above lambda_c ~ 1.2564, the root of e**lambda - 1 = 2*lambda, where the
+small-attacker share 2*alpha*lambda/(e**lambda - 1) drops below alpha.
 
 ``stationary_truncated_oracle`` is an independent numerical check: it
 builds the rate matrix of the chain truncated at state K and solves its
@@ -48,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergentLead, InvalidParam
-from .probmodel import (MiningParams, TransitionProbs, _require_gamma, derive_transition_probs,
-                        lead_ratio)
+from .probmodel import (MiningParams, TransitionProbs, _require_gamma, _require_minority,
+                        derive_transition_probs, lead_ratio)
 
 __all__ = [
     "StationaryDist",
@@ -168,8 +170,7 @@ def is_profitable(params: MiningParams) -> RevenueReport:
     keeps its digits where p2 underflows.  Raises DivergentLead when
     alpha >= 1/2, or when rho rounds to 1 or above just below 1/2.
     """
-    if params.alpha >= 0.5:
-        raise DivergentLead(f"alpha={params.alpha} >= 1/2: attacker majority, no stationary lead")
+    _require_minority(params.alpha)
     rho = float(lead_ratio(params.alpha, params.lam))
     if rho >= 1.0:
         raise DivergentLead(f"rho = p2/p3 rounds to {rho!r} at alpha={params.alpha!r}, "

@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidParam
+from .errors import DivergentLead, InvalidParam
 
 __all__ = [
     "MiningParams",
@@ -69,6 +69,12 @@ def _require_lam(lam: float) -> None:
 def _require_gamma(gamma: float) -> None:
     _require(math.isfinite(gamma) and 0.0 <= gamma <= 1.0,
              f"gamma must be in [0, 1], got {gamma}")
+
+
+def _require_minority(alpha: float) -> None:
+    """An attacker with half the power or more out-mines the rest: its lead drifts up."""
+    if alpha >= 0.5:
+        raise DivergentLead(f"alpha={alpha} >= 1/2: attacker majority, no stationary lead")
 
 
 @dataclass(frozen=True)

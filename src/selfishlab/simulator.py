@@ -98,8 +98,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidConfig
-from .markov import is_profitable, q_at
-from .probmodel import MiningParams, round_success_probs
+from .probmodel import MiningParams, _require_minority, round_success_probs
 
 __all__ = [
     "CHUNK_ROUNDS",
@@ -107,9 +106,7 @@ __all__ = [
     "VARIANTS",
     "SimConfig",
     "SimResult",
-    "ComparisonReport",
     "simulate",
-    "compare_to_analytic",
 ]
 
 CHUNK_ROUNDS = 50_000
@@ -151,22 +148,11 @@ class SimResult:
     k from 0 up to the largest lead observed.
     """
 
-    rounds_run: int
     revenue_a: float
     revenue_b: float
     ratio: float
     ratio_stderr: float
     occupancy: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Simulation vs closed form: share estimates, z-score, occupancy gap."""
-
-    ratio_mc: float
-    ratio_analytic: float
-    z_score: float
-    occupancy_linf: float
 
 
 def _chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -318,11 +304,10 @@ def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
     """Run the configured number of rounds and accumulate statistics.
 
     ``workers`` only selects how the independent chunks are executed; the
-    merged result is bit-identical for any worker count.
+    merged result is bit-identical for any worker count.  Raises
+    DivergentLead when alpha >= 1/2.
     """
-    if config.params.alpha >= 0.5:
-        raise InvalidConfig(f"alpha must be below 0.5 for a stable lead, "
-                            f"got {config.params.alpha}")
+    _require_minority(config.params.alpha)
     p_attacker, p_honest = round_success_probs(config.params)
     gamma = config.params.gamma
 
@@ -360,7 +345,6 @@ def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
         stderr = 0.0
 
     return SimResult(
-        rounds_run=config.rounds,
         revenue_a=float(revenue_a),
         revenue_b=float(revenue_b),
         ratio=float(ratio),
@@ -368,32 +352,3 @@ def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
         occupancy=tuple((counts / config.rounds).tolist()),
     )
 
-
-def compare_to_analytic(config: SimConfig) -> ComparisonReport:
-    """Run a paper-accounting simulation and compare it to the closed form.
-
-    The z-score normalizes the share discrepancy by the batch-means
-    standard error; it is 0 when both estimate and target coincide with a
-    zero standard error, and infinite when only the standard error is zero.
-    """
-    if config.accounting != "paper":
-        raise InvalidConfig("analytic comparison is defined for paper accounting only")
-    result = simulate(config)
-    report = is_profitable(config.params)
-    analytic, dist = report.ratio, report.dist
-
-    difference = result.ratio - analytic
-    if result.ratio_stderr > 0.0:
-        z_score = difference / result.ratio_stderr
-    elif difference == 0.0:
-        z_score = 0.0
-    else:
-        z_score = math.copysign(math.inf, difference)
-
-    states = max(len(result.occupancy), 11)
-    occupancy_linf = max(
-        abs((result.occupancy[k] if k < len(result.occupancy) else 0.0) - q_at(dist, k))
-        for k in range(states))
-
-    return ComparisonReport(ratio_mc=result.ratio, ratio_analytic=analytic,
-                            z_score=z_score, occupancy_linf=occupancy_linf)

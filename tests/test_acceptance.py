@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from selfishlab import MiningParams, SimConfig, is_profitable, profit_threshold, simulate
-from selfishlab.cli import run
+from selfishlab.cli import _simulation_gap, run
 from selfishlab.markov import (q_at, revenue_rates, revenue_ratio, stationary,
                                stationary_truncated_oracle)
 from selfishlab.probmodel import TransitionProbs, apply_fix
-from selfishlab.simulator import compare_to_analytic
 
 
 def _report(name, detail):
@@ -81,13 +80,12 @@ def test_criterion_5_monte_carlo_vs_analytic():
     for alpha in (0.1, 0.2, 0.3):
         for lam in (0.5, 1.0, 2.0):
             for gamma in (0.0, 0.5):
-                config = SimConfig(params=MiningParams(alpha, lam, gamma),
-                                   rounds=1_000_000, seed=42)
-                report = compare_to_analytic(config)
-                assert abs(report.z_score) <= 4.0, (alpha, lam, gamma, report)
-                assert report.occupancy_linf <= 0.005, (alpha, lam, gamma, report)
-                worst_z = max(worst_z, abs(report.z_score))
-                worst_occ = max(worst_occ, report.occupancy_linf)
+                z, occupancy_gap = _simulation_gap(MiningParams(alpha, lam, gamma),
+                                                   1_000_000, 42)
+                assert abs(z) <= 4.0, (alpha, lam, gamma, z)
+                assert occupancy_gap <= 0.005, (alpha, lam, gamma, occupancy_gap)
+                worst_z = max(worst_z, abs(z))
+                worst_occ = max(worst_occ, occupancy_gap)
     elapsed = time.perf_counter() - started
     _report("criterion 5",
             f"18 configs x 10^6 rounds: worst |z|={worst_z:.2f}, "

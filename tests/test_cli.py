@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from selfishlab import __version__
-from selfishlab.cli import VERIFY_MAX_SEED, run
+from selfishlab import MiningParams, SimConfig, __version__, is_profitable, simulate
+from selfishlab.cli import VERIFY_MAX_SEED, _simulation_gap, run
 from selfishlab.markov import q_at, stationary, stationary_truncated_oracle
 from selfishlab.probmodel import TransitionProbs
 
@@ -82,8 +83,6 @@ def test_analyze_human_output(capsys):
 
 
 def test_simulate_json_matches_library(capsys):
-    from selfishlab import MiningParams, SimConfig, simulate
-
     code, envelope, _ = run_json(capsys, [
         "simulate", "--alpha", "0.3", "--lambda", "1",
         "--rounds", "20000", "--seed", "3"])
@@ -106,6 +105,13 @@ def test_simulate_zero_rounds_exit_code(capsys):
 def test_simulate_rejects_paper_reset(capsys):
     assert run(["simulate", "--alpha", "0.3", "--lambda", "1",
                 "--rounds", "10", "--seed", "1", "--variant", "reset"]) == 2
+
+
+def test_simulate_majority_attacker_exit_code(capsys):
+    # the same model error, and exit code, as analyze at the same alpha
+    assert run(["simulate", "--alpha", "0.6", "--lambda", "1",
+                "--rounds", "10", "--seed", "1"]) == 3
+    assert "attacker majority" in capsys.readouterr().err
 
 
 def test_simulate_csv_has_occupancy_columns(capsys):
@@ -260,6 +266,35 @@ def test_verify_worst_case_replays_the_largest_z(capsys):
     z = ((simulated["results"]["ratio"] - analytic["results"]["ratio"])
          / simulated["results"]["ratio_stderr"])
     assert abs(z) == suite["worst"]
+
+
+def test_simulation_gap_within_noise():
+    for params in (MiningParams(alpha=0.3, lam=1.0, gamma=0.5),
+                   MiningParams(alpha=0.1, lam=2.0, gamma=0.0)):
+        z, occupancy_gap = _simulation_gap(params, 1_000_000, 42)
+        assert abs(z) <= 4.0
+        assert occupancy_gap <= 0.005
+
+
+def test_simulation_gap_degenerate_zero():
+    # p_attacker = 1e-303: the pool mines, so the closed form takes its
+    # rho -> 0 limit gamma, but ten thousand rounds never sample the event
+    params = MiningParams(alpha=1e-300, lam=1e-3, gamma=0.5)
+    assert simulate(SimConfig(params=params, rounds=10_000, seed=5)).ratio == 0.0
+    assert is_profitable(params).ratio == 0.5
+    assert _simulation_gap(params, 10_000, 5)[0] == -math.inf
+
+    # rho = e^-980 rounds to 0 and the honest side finds in every round, so
+    # no lead ever opens: both shares are exactly zero and agree
+    params = MiningParams(alpha=0.01, lam=1000.0, gamma=0.0)
+    assert simulate(SimConfig(params=params, rounds=10_000, seed=5)).ratio == 0.0
+    assert is_profitable(params).ratio == 0.0
+    assert _simulation_gap(params, 10_000, 5)[0] == 0.0
+
+
+def test_simulation_gap_zero_stderr_mismatch_is_infinite():
+    z, _ = _simulation_gap(MiningParams(alpha=0.3, lam=1.0, gamma=0.5), 5_000, 5)
+    assert z == math.inf
 
 
 def test_verify_worst_case_replays_the_largest_oracle_error(capsys):

@@ -1,4 +1,4 @@
-"""The package's public names: every exported name exists, and the README imports work."""
+"""The package's public names: every exported name exists, and the README examples run."""
 
 import importlib
 import re
@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import selfishlab
+from selfishlab.cli import run
 
 MODULES = ["selfishlab", "selfishlab.cli", "selfishlab.markov",
            "selfishlab.probmodel", "selfishlab.simulator", "selfishlab.sweep"]
@@ -18,10 +19,27 @@ def test_every_exported_name_is_defined(name):
     assert [export for export in module.__all__ if not hasattr(module, export)] == []
 
 
-def test_readme_library_imports_run():
-    readme = (Path(__file__).parent.parent / "README.md").read_text()
-    example = re.search(r"## Library\n.*?```python\n(.*?)```", readme, re.DOTALL).group(1)
+README = (Path(__file__).parent.parent / "README.md").read_text()
+
+
+def _readme_block(section, language):
+    return re.search(rf"## {section}\n.*?```{language}\n(.*?)```", README, re.DOTALL).group(1)
+
+
+def test_readme_library_example_runs():
+    example = _readme_block("Library", "python")
     imports = re.search(r"^from selfishlab import \(.*?\)$", example, re.DOTALL | re.MULTILINE)
     namespace = {}
     exec(imports.group(0), namespace)
     assert set(namespace) - {"__builtins__"} <= set(selfishlab.__all__)
+    exec(example, {})
+
+
+def test_readme_commands_run(capsys):
+    block = _readme_block("Command line", "sh").replace("\\\n", " ")
+    commands = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("selfishlab ")]
+    assert len(commands) == 9
+    for argv in commands:
+        assert run(argv) == 0, argv
+        capsys.readouterr()

@@ -21,10 +21,15 @@ def _log_uniform(rng, low, high, size):
 
 
 def test_even_tiebreak_profitable_everywhere():
-    for lam in (0.5, 1.0, 2.0, 4.0):
-        found = profit_threshold(lam, gamma=0.5)
-        assert found.alpha_star == 0.0
-        assert found.bracket == (0.0, 0.0)
+    # the share never falls below gamma, so any gamma above the first probe
+    # ALPHA_GUARD is profitable there, at every lambda
+    for gamma in (1e-3, 0.01, 0.1, 0.25, 0.5):
+        for lam in (0.1, 0.5, 1.0, 2.0, 4.0, 30.0):
+            found = profit_threshold(lam, gamma=gamma)
+            assert found.alpha_star == 0.0
+            assert found.bracket == (0.0, 0.0)
+    # a gamma below ALPHA_GUARD leaves a nonzero threshold above lambda_c
+    assert profit_threshold(30.0, gamma=5e-5).alpha_star > 0.48
 
 
 def test_threshold_reference_point():
