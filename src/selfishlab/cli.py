@@ -52,10 +52,10 @@ import numpy as np
 
 from . import __version__
 from .errors import DivergentLead, InvalidConfig, InvalidParam
-from .markov import is_profitable, q_at, stationary, stationary_truncated_oracle
+from .markov import StationaryDist, is_profitable, q_at, stationary, stationary_truncated_oracle
 from .probmodel import (MiningParams, ProtocolParams, TransitionProbs, apply_fix,
                         lambda_from_protocol)
-from .simulator import ACCOUNTING_MODES, VARIANTS, SimConfig, simulate
+from .simulator import ACCOUNTING_MODES, CHUNK_ROUNDS, VARIANTS, SimConfig, simulate
 from .sweep import SweepGrid, profit_threshold, resistance_sweep
 
 __all__ = ["run", "main"]
@@ -77,6 +77,9 @@ VERIFY_MC_CONFIGS = tuple((alpha, lam, gamma)
 VERIFY_MAX_SEED = 2 ** 64 - len(VERIFY_MC_CONFIGS)
 
 MC_CHECK_ALPHA_OFFSET = 0.02
+# two batches give a nonzero standard error, but near this minimum it has few
+# degrees of freedom and the 3-sigma test is loose (ROADMAP item 4)
+MC_CHECK_MIN_ROUNDS = 2 * CHUNK_ROUNDS
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +177,9 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
     }
     if args.mc_check is not None:
         # checked before the sweep, since only cells with 0 < alpha* < 1/2 simulate
-        if args.mc_check < 1:
-            raise InvalidParam(f"--mc-check must be at least 1, got {args.mc_check}")
+        if args.mc_check < MC_CHECK_MIN_ROUNDS:
+            raise InvalidParam(f"--mc-check must be at least {MC_CHECK_MIN_ROUNDS}, "
+                               f"got {args.mc_check}")
         if not 0 <= args.mc_seed < 2 ** 64:
             raise InvalidParam(f"--mc-seed must be a 64-bit unsigned integer, got {args.mc_seed}")
         inputs.update(mc_check=args.mc_check, mc_seed=args.mc_seed)
@@ -262,6 +266,11 @@ def _oracle_states(rho: float) -> int:
     return min(400, max(8, math.ceil(math.log(1e-13) / math.log(rho)))) if rho > 1e-6 else 8
 
 
+def _lead_mass_gap(masses: Sequence[float], dist: StationaryDist) -> float:
+    """Largest |masses[k] - q_k| over the leads k that ``masses`` covers."""
+    return float(max(abs(mass - q_at(dist, k)) for k, mass in enumerate(masses)))
+
+
 def _oracle_suite(cases: int, seed: int) -> dict[str, Any]:
     """Closed-form stationary masses vs the truncated-chain oracle.
 
@@ -275,8 +284,7 @@ def _oracle_suite(cases: int, seed: int) -> dict[str, Any]:
         probs = _random_transition_probs(rng)
         dist = stationary(probs)
         K = _oracle_states(dist.rho)
-        vector = stationary_truncated_oracle(probs, K)
-        linf = float(max(abs(vector[k] - q_at(dist, k)) for k in range(K + 1)))
+        linf = _lead_mass_gap(stationary_truncated_oracle(probs, K), dist)
         if not worst_case or linf > worst:
             worst = linf
             worst_case = (f"p0={probs.p0!r} p1={probs.p1!r} p2={probs.p2!r} "
@@ -290,10 +298,9 @@ def _oracle_suite(cases: int, seed: int) -> dict[str, Any]:
 def _simulation_gap(params: MiningParams, rounds: int, seed: int) -> tuple[float, float]:
     """Paper-accounting simulation vs the closed form: share z-score and occupancy gap.
 
-    z is the share difference over its batch-means standard error; with a
-    zero standard error it is 0 when the shares agree and signed infinity
-    otherwise.  The gap is the largest lead-mass difference over leads 0-10
-    and every lead the run reached.
+    z is the share difference over its standard error; with a zero standard
+    error it is 0 when the shares agree and signed infinity otherwise.  The gap
+    is the largest lead-mass difference over leads 0-10 and every lead the run reached.
     """
     result = simulate(SimConfig(params=params, rounds=rounds, seed=seed))
     report = is_profitable(params)
@@ -303,7 +310,7 @@ def _simulation_gap(params: MiningParams, rounds: int, seed: int) -> tuple[float
     else:
         z = math.copysign(math.inf, difference) if difference else 0.0
     occupancy = result.occupancy + (0.0,) * (11 - len(result.occupancy))
-    return z, max(abs(mass - q_at(report.dist, k)) for k, mass in enumerate(occupancy))
+    return z, _lead_mass_gap(occupancy, report.dist)
 
 
 def _mc_suite(seed: int) -> dict[str, Any]:

@@ -128,6 +128,12 @@ def q_at(dist: StationaryDist, k: int) -> float:
     return dist.q1 * dist.rho ** (k - 1)
 
 
+def _payouts(rho: float | np.ndarray, gamma: float) -> tuple:
+    # the paper ledger's (attacker, honest) revenue in units of q1*p3/(1 - rho);
+    # their sum 1 + rho*(1 - rho), written this way, keeps the share in [0, 1]
+    return gamma * (1.0 - rho) + rho * (2.0 - rho), (1.0 - gamma) * (1.0 - rho)
+
+
 def revenue_rates(dist: StationaryDist, probs: TransitionProbs,
                   gamma: float) -> tuple[float, float]:
     """Per-round revenue rates (attacker, honest) in units of one reward.
@@ -135,30 +141,25 @@ def revenue_rates(dist: StationaryDist, probs: TransitionProbs,
     r_a = (gamma*q1 + 2*q2 + sum_{k>=3} q_k) * p3
     r_b = (1 - gamma) * q1 * p3
 
-    with the geometric tail summed in closed form as q2 * rho / (1 - rho).
+    with q_k = q1 * rho**(k-1): the ``revenue_ratio`` payouts times q1*p3/(1 - rho).
     """
     _require_gamma(gamma)
-    q2 = dist.q1 * dist.rho
-    tail = q2 * dist.rho / (1.0 - dist.rho)
-    r_a = (gamma * dist.q1 + 2.0 * q2 + tail) * probs.p3
-    r_b = (1.0 - gamma) * dist.q1 * probs.p3
-    return r_a, r_b
+    scale = dist.q1 * probs.p3 / (1.0 - dist.rho)
+    attacker, honest = _payouts(dist.rho, gamma)
+    return attacker * scale, honest * scale
 
 
-def _share(rho: float, gamma: float) -> float:
-    # 1 + rho*(1 - rho) written as attacker + honest revenue keeps the share in [0, 1]
-    attacker = gamma * (1.0 - rho) + rho * (2.0 - rho)
-    return attacker / (attacker + (1.0 - gamma) * (1.0 - rho))
+def revenue_ratio(rho: float | np.ndarray, gamma: float) -> float | np.ndarray:
+    """Attacker's share of all counted revenue, r_a / (r_a + r_b), at a float or array rho.
 
-
-def revenue_ratio(dist: StationaryDist, gamma: float) -> float:
-    """Attacker's share of all counted revenue, r_a / (r_a + r_b).
-
-    A function of ``dist.rho`` and gamma only; at rho = 0 it takes its limit
-    gamma, the share of an attacker that mines however rarely.
+    At rho = 0 it takes its limit gamma, the share of an attacker that mines
+    however rarely.  Raises InvalidParam unless every rho is in [0, 1).
     """
     _require_gamma(gamma)
-    return _share(dist.rho, gamma)
+    if not np.all((0.0 <= rho) & (rho < 1.0)):
+        raise InvalidParam(f"rho must be in [0, 1), got {rho}")
+    attacker, honest = _payouts(rho, gamma)
+    return attacker / (attacker + honest)
 
 
 def is_profitable(params: MiningParams) -> RevenueReport:
@@ -176,7 +177,7 @@ def is_profitable(params: MiningParams) -> RevenueReport:
         raise DivergentLead(f"rho = p2/p3 rounds to {rho!r} at alpha={params.alpha!r}, "
                             f"lam={params.lam!r}: no stationary lead distribution in "
                             "floating point")
-    ratio = _share(rho, params.gamma)
+    ratio = revenue_ratio(rho, params.gamma)
     dist = StationaryDist(q0=1.0 - rho, q1=rho * (1.0 - rho), rho=rho)
     r_a, r_b = revenue_rates(dist, derive_transition_probs(params), params.gamma)
     return RevenueReport(r_a=r_a, r_b=r_b, ratio=ratio, profitable=ratio > params.alpha,

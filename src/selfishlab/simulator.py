@@ -82,10 +82,10 @@ that round, and then one tie-break uniform per race, in round order: a
 chunk of n rounds with r races draws exactly n + r doubles.  Chunks are
 independent (each starts at lead 0 with empty fork counters), so results
 are bit-identical however the chunks are scheduled, and a run is
-reproducible from its ``SimConfig`` alone.  Chunks double as the batches
-for the batch-means standard error of the revenue share
-(``ceil(rounds / CHUNK_ROUNDS)`` batches; the estimate is 0 when there are
-fewer than two).
+reproducible from its ``SimConfig`` alone.  The n chunks are the batches of
+the share r = sum(A_i) / sum(T_i), where chunk i pays A_i of its revenue T_i
+to the attacker; its error sd(A_i - r T_i) sqrt(n) / sum(T_i) weighs a short
+last chunk by its revenue, and is 0 with one batch or no revenue.
 """
 
 from __future__ import annotations
@@ -325,8 +325,8 @@ def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
     else:
         chunk_stats = [run_chunk(i) for i in range(len(sizes))]
 
-    revenue_a = sum(stats[0] for stats in chunk_stats)
-    revenue_b = sum(stats[1] for stats in chunk_stats)
+    revenue = np.array([stats[:2] for stats in chunk_stats])  # (batches, 2)
+    revenue_a, revenue_b = revenue.sum(axis=0).tolist()
 
     width = max(len(stats[2]) for stats in chunk_stats)
     counts = np.zeros(width, dtype=np.int64)
@@ -336,19 +336,11 @@ def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
     total = revenue_a + revenue_b
     ratio = revenue_a / total if total > 0.0 else 0.0
 
-    batch_ratios = [ra / (ra + rb) if ra + rb > 0.0 else 0.0
-                    for ra, rb, _ in chunk_stats]
-    if len(batch_ratios) >= 2:
-        spread = np.std(batch_ratios, ddof=1)
-        stderr = float(spread / math.sqrt(len(batch_ratios)))
-    else:
-        stderr = 0.0
-
-    return SimResult(
-        revenue_a=float(revenue_a),
-        revenue_b=float(revenue_b),
-        ratio=float(ratio),
-        ratio_stderr=stderr,
-        occupancy=tuple((counts / config.rounds).tolist()),
-    )
+    # the ratio estimator's error over the batch sums A_i and T_i = A_i + B_i
+    stderr = 0.0
+    if len(revenue) >= 2 and total > 0.0:
+        spread = np.std(revenue[:, 0] - ratio * revenue.sum(axis=1), ddof=1)
+        stderr = float(spread * math.sqrt(len(revenue)) / total)
+    return SimResult(revenue_a=revenue_a, revenue_b=revenue_b, ratio=ratio, ratio_stderr=stderr,
+                     occupancy=tuple((counts / config.rounds).tolist()))
 

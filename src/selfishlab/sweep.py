@@ -11,9 +11,9 @@ intensity and therefore the whole attack model.
 Both run one search, ``_thresholds``, over an array of lambdas at once.
 The scan evaluates the share on a (GRID_POINTS, lambdas) array, and the
 open brackets are bisected in lock step, each until its width is at most
-``tol``.  Each probe evaluates the share with ``probmodel.lead_ratio``
-and ``markov._share``, the same rho and share as ``is_profitable``, so a
-probe and ``analyze`` at the same point give the same verdict.  The tests
+``tol``.  Each probe evaluates the share with ``probmodel.lead_ratio`` and
+``markov.revenue_ratio``, the same rho and share as ``is_profitable``, so
+a probe and ``analyze`` at the same point give the same verdict.  The tests
 pin ``alpha_star``, the bracket and the evaluation count bit for bit to a
 one-lambda-at-a-time search through ``is_profitable``.
 """
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParam
-from .markov import _share
+from .markov import revenue_ratio
 from .probmodel import (ProtocolParams, _require_gamma, _require_lam, lambda_from_protocol,
                         lead_ratio)
 
@@ -105,7 +105,7 @@ def _thresholds(lams: Sequence[float], gamma: float, tol: float) -> list[Thresho
 
     def profitable(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
         # no probe comes within ALPHA_GUARD of 1/2, so rho stays below 0.9997
-        return _share(lead_ratio(alpha, lam), gamma) > alpha
+        return revenue_ratio(lead_ratio(alpha, lam), gamma) > alpha
 
     low, high = ALPHA_GUARD, 0.5 - ALPHA_GUARD
     step = (high - low) / (GRID_POINTS - 1)

@@ -24,7 +24,7 @@ def test_criterion_1_closed_form_golden_case():
     assert abs(dist.q0 - 0.5) <= 1e-12
     assert abs(dist.q1 - 0.25) <= 1e-12
     assert abs(dist.rho - 0.5) <= 1e-12
-    ratio = revenue_ratio(dist, 0.5)
+    ratio = revenue_ratio(dist.rho, 0.5)
     assert abs(ratio - 0.8) <= 1e-12
     _report("criterion 1", f"q0={dist.q0} q1={dist.q1} rho={dist.rho} ratio={ratio}")
 
@@ -66,7 +66,7 @@ def test_criterion_4_ratio_lower_bound(make_probs):
     lowest = 1.0
     for _ in range(10_000):
         dist = stationary(make_probs(rng, rho_max=0.99))
-        ratio = revenue_ratio(dist, 0.5)
+        ratio = revenue_ratio(dist.rho, 0.5)
         lowest = min(lowest, ratio)
         violations += ratio < 0.5
     assert violations == 0

@@ -13,6 +13,7 @@ from selfishlab import MiningParams, SimConfig, __version__, is_profitable, simu
 from selfishlab.cli import VERIFY_MAX_SEED, _simulation_gap, run
 from selfishlab.markov import q_at, stationary, stationary_truncated_oracle
 from selfishlab.probmodel import TransitionProbs
+from selfishlab.simulator import CHUNK_ROUNDS
 
 
 def run_json(capsys, argv):
@@ -185,14 +186,26 @@ def test_sweep_mc_check_unresolved_probe_has_no_verdict(capsys):
 
 @pytest.mark.parametrize("gamma", ["0.5", "0"])   # no cell simulated / one cell simulated
 @pytest.mark.parametrize("flags", [["--mc-check", "-5"], ["--mc-check", "0"],
-                                   ["--mc-check", "10", "--mc-seed", "-1"],
-                                   ["--mc-check", "10", "--mc-seed", str(2 ** 64)]])
+                                   ["--mc-check", "100000", "--mc-seed", "-1"],
+                                   ["--mc-check", "100000", "--mc-seed", str(2 ** 64)]])
 def test_sweep_rejects_bad_mc_check_on_any_grid(capsys, gamma, flags):
     assert run(["sweep", "--tenures", "120", "--difficulties", "6e7", "--hashrate", "1e6",
                 "--gamma", gamma] + flags) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flags[-2]} must be")
+
+
+def test_sweep_mc_check_needs_two_batches(capsys):
+    # one batch has no standard error, so the 3-sigma test would be an exact
+    # comparison that a correct simulator fails (the lambda = 2 cell at 1000 rounds)
+    flags = ["sweep", "--tenures", "1,2", "--difficulties", "1e6", "--hashrate", "1e6",
+             "--gamma", "0", "--mc-check"]
+    assert run(flags + [str(2 * CHUNK_ROUNDS - 1)]) == 2
+    assert run(flags + ["1000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--mc-check must be at least {2 * CHUNK_ROUNDS}" in captured.err
 
 
 def test_sweep_rejects_bad_axes(capsys):

@@ -72,16 +72,16 @@ def test_revenue_rates_zero_without_lead_mass():
 
 def test_revenue_ratio_golden_case():
     dist = stationary(GOLDEN)
-    assert revenue_ratio(dist, 0.5) == pytest.approx(0.8, abs=1e-12)
-    assert revenue_ratio(dist, 0.0) == pytest.approx(0.6, abs=1e-12)
+    assert revenue_ratio(dist.rho, 0.5) == pytest.approx(0.8, abs=1e-12)
+    assert revenue_ratio(dist.rho, 0.0) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_revenue_ratio_convention_at_degenerate_dist():
     # the share depends on rho alone, and gamma is its only continuous value
     # at rho = 0: an attacker that mines however rarely wins gamma of its races
     dist = StationaryDist(q0=1.0, q1=0.0, rho=0.0)
-    assert revenue_ratio(dist, 0.5) == 0.5
-    assert revenue_ratio(dist, 0.0) == 0.0
+    assert revenue_ratio(dist.rho, 0.5) == 0.5
+    assert revenue_ratio(dist.rho, 0.0) == 0.0
 
 
 def test_revenue_ratio_matches_rates(make_probs):
@@ -91,7 +91,7 @@ def test_revenue_ratio_matches_rates(make_probs):
         dist = stationary(probs)
         gamma = rng.uniform(0.0, 1.0)
         r_a, r_b = revenue_rates(dist, probs, gamma)
-        ratio = revenue_ratio(dist, gamma)
+        ratio = revenue_ratio(dist.rho, gamma)
         assert abs(ratio * (r_a + r_b) - r_a) <= 1e-12
 
 
@@ -110,14 +110,15 @@ def test_revenue_ratio_lower_bound_even_tiebreak(make_probs):
     rng = np.random.default_rng(8)
     for _ in range(2000):
         dist = stationary(make_probs(rng, rho_max=0.99))
-        assert revenue_ratio(dist, 0.5) >= 0.5
+        assert revenue_ratio(dist.rho, 0.5) >= 0.5
 
 
 def test_revenue_ratio_monotone_in_tiebreak(make_probs):
     rng = np.random.default_rng(9)
     for _ in range(500):
         dist = stationary(make_probs(rng, rho_max=0.99))
-        assert revenue_ratio(dist, 0.0) <= revenue_ratio(dist, 0.5) <= revenue_ratio(dist, 1.0)
+        shares = [revenue_ratio(dist.rho, gamma) for gamma in (0.0, 0.5, 1.0)]
+        assert shares == sorted(shares)
 
 
 def test_balance_and_normalization(make_probs):
@@ -226,4 +227,19 @@ def test_revenue_gamma_validation():
     with pytest.raises(InvalidParam):
         revenue_rates(dist, GOLDEN, gamma=1.5)
     with pytest.raises(InvalidParam):
-        revenue_ratio(dist, gamma=-0.2)
+        revenue_ratio(dist.rho, gamma=-0.2)
+
+
+@pytest.mark.parametrize("rho", [1.0, -0.1, float("nan")])
+def test_revenue_ratio_refuses_rho_outside_unit_interval(rho):
+    with pytest.raises(InvalidParam, match="rho must be in"):
+        revenue_ratio(rho, 0.5)
+    with pytest.raises(InvalidParam, match="rho must be in"):
+        revenue_ratio(np.array([0.0, 0.5, rho]), 0.5)
+
+
+def test_revenue_ratio_takes_arrays():
+    rho = np.array([[0.0, 0.25], [0.5, 0.99]])
+    shares = revenue_ratio(rho, 0.3)
+    assert shares.shape == rho.shape
+    assert shares.tolist() == [[revenue_ratio(float(r), 0.3) for r in row] for row in rho]

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from selfishlab.cli import run
 from selfishlab.errors import DivergentLead
-from selfishlab.markov import _share, is_profitable
+from selfishlab.markov import is_profitable, revenue_ratio
 from selfishlab.probmodel import MiningParams, lead_ratio
 from selfishlab.sweep import profit_threshold
 
@@ -83,7 +83,7 @@ def test_share_is_a_fraction(alpha, lam, gamma):
 @given(rhos, rhos, gammas)
 def test_share_is_non_decreasing_in_rho(rho_a, rho_b, gamma):
     low, high = sorted((rho_a, rho_b))
-    assert _share(low, gamma) <= _share(high, gamma)
+    assert revenue_ratio(low, gamma) <= revenue_ratio(high, gamma)
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)

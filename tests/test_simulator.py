@@ -332,7 +332,7 @@ def test_ratio_and_occupancy_match_closed_form():
     config = SimConfig(params=REFERENCE, rounds=1_000_000, seed=42)
     result = simulate(config)
     dist = stationary(derive_transition_probs(REFERENCE))
-    analytic = revenue_ratio(dist, REFERENCE.gamma)
+    analytic = revenue_ratio(dist.rho, REFERENCE.gamma)
     assert abs(result.ratio - analytic) <= 0.005
     linf = max(abs(result.occupancy[k] - q_at(dist, k))
                for k in range(len(result.occupancy)))
@@ -352,6 +352,14 @@ def test_stderr_needs_two_batches():
     assert small.ratio_stderr == 0.0
     larger = simulate(SimConfig(params=REFERENCE, rounds=4 * CHUNK_ROUNDS, seed=3))
     assert larger.ratio_stderr > 0.0
+
+
+def test_stderr_barely_moves_with_a_short_last_batch():
+    # a one-round last chunk has no revenue; it weighs by its revenue, not as a share of 0
+    full, one_more = (simulate(SimConfig(params=REFERENCE, rounds=rounds, seed=7))
+                      for rounds in (20 * CHUNK_ROUNDS, 20 * CHUNK_ROUNDS + 1))
+    assert one_more.ratio == full.ratio
+    assert one_more.ratio_stderr == pytest.approx(full.ratio_stderr, rel=0.05)
 
 
 def test_full_accounting_never_exceeds_stylized_share():

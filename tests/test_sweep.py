@@ -1,10 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import selfishlab.sweep
 from selfishlab.errors import InvalidParam
 from selfishlab.markov import is_profitable
 from selfishlab.probmodel import MiningParams
@@ -18,6 +21,14 @@ EXTREME_LAMS = (5e-324, 1e-300, 1e-12, 1e5, 1e300)
 
 def _log_uniform(rng, low, high, size):
     return np.exp(rng.uniform(math.log(low), math.log(high), size))
+
+
+def test_sweep_imports_no_private_name_from_markov():
+    tree = ast.parse(Path(selfishlab.sweep.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "markov"
+                for alias in node.names]
+    assert imported and not [name for name in imported if name.startswith("_")]
 
 
 def test_even_tiebreak_profitable_everywhere():
