@@ -27,8 +27,8 @@ simulate   alpha,lambda,gamma,rounds,seed,accounting,variant,rounds_run,
 threshold  lambda,gamma,tol,alpha_star,bracket_low,bracket_high,evaluations
 sweep      tenure,difficulty,lambda,alpha_star
            (plus mc_alpha_low,mc_ratio_low,mc_alpha_high,mc_ratio_high,
-           mc_consistent when --mc-check is given; empty where a cell is
-           not simulated or a probe sees no resolution event)
+           mc_consistent when --mc-check is given; empty where a cell or
+           probe is not simulated or a probe sees no resolution event)
 verify     suite,cases,failures,worst
 fix        alpha,multiplier,lambda_before,gamma_before,ratio_before,
            profitable_before,lambda_after,gamma_after,ratio_after,
@@ -53,10 +53,9 @@ import numpy as np
 from . import __version__
 from .errors import DivergentLead, InvalidConfig, InvalidParam
 from .markov import StationaryDist, is_profitable, q_at, stationary, stationary_truncated_oracle
-from .probmodel import (MiningParams, ProtocolParams, TransitionProbs, apply_fix,
-                        lambda_from_protocol)
+from .probmodel import MiningParams, TransitionProbs, apply_fix, lambda_from_protocol
 from .simulator import ACCOUNTING_MODES, CHUNK_ROUNDS, VARIANTS, SimConfig, simulate
-from .sweep import SweepGrid, profit_threshold, resistance_sweep
+from .sweep import profit_threshold, resistance_sweep
 
 __all__ = ["run", "main"]
 
@@ -87,25 +86,20 @@ MC_CHECK_MIN_ROUNDS = 2 * CHUNK_ROUNDS
 
 def _resolve_params(args: argparse.Namespace) -> tuple[MiningParams, dict[str, Any]]:
     """Build MiningParams from direct or protocol-triple flags."""
-    triple = (args.tenure, args.difficulty, args.hashrate)
-    names = ("--tenure", "--difficulty", "--hashrate")
-    given = [value is not None for value in triple]
-    if args.lam is not None and any(given):
+    protocol = {"tenure": args.tenure, "difficulty": args.difficulty, "hashrate": args.hashrate}
+    missing = [f"--{name}" for name, value in protocol.items() if value is None]
+    if args.lam is not None and len(missing) < len(protocol):
         raise InvalidParam("give either --lambda or the protocol triple "
                            "(--tenure --difficulty --hashrate), not both")
     inputs: dict[str, Any] = {"alpha": args.alpha}
     if args.lam is not None:
         lam = args.lam
     else:
-        if not all(given):
-            missing = [n for n, g in zip(names, given) if not g]
+        if missing:
             raise InvalidParam("lambda unspecified: give --lambda or the full "
                                f"protocol triple (missing {', '.join(missing)})")
-        proto = ProtocolParams(tenure=args.tenure, difficulty=args.difficulty,
-                               hashrate=args.hashrate)
-        lam = lambda_from_protocol(proto)
-        inputs["protocol"] = {"tenure": proto.tenure, "difficulty": proto.difficulty,
-                              "hashrate": proto.hashrate}
+        lam = lambda_from_protocol(**protocol)
+        inputs["protocol"] = protocol
     inputs["lambda"] = lam
     inputs["gamma"] = args.gamma
     return MiningParams(alpha=args.alpha, lam=lam, gamma=args.gamma), inputs
@@ -167,14 +161,8 @@ def _cmd_threshold(args: argparse.Namespace) -> tuple[dict, dict, list[dict], in
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
-    grid = SweepGrid(tenures=tuple(args.tenures), difficulties=tuple(args.difficulties),
-                     hashrate=args.hashrate, gamma=args.gamma)
-    inputs: dict[str, Any] = {
-        "tenures": list(grid.tenures),
-        "difficulties": list(grid.difficulties),
-        "hashrate": grid.hashrate,
-        "gamma": grid.gamma,
-    }
+    inputs: dict[str, Any] = {"tenures": args.tenures, "difficulties": args.difficulties,
+                              "hashrate": args.hashrate, "gamma": args.gamma}
     if args.mc_check is not None:
         # checked before the sweep, since only cells with 0 < alpha* < 1/2 simulate
         if args.mc_check < MC_CHECK_MIN_ROUNDS:
@@ -184,7 +172,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
             raise InvalidParam(f"--mc-seed must be a 64-bit unsigned integer, got {args.mc_seed}")
         inputs.update(mc_check=args.mc_check, mc_seed=args.mc_seed)
     rows = []
-    for cell in resistance_sweep(grid):
+    for cell in resistance_sweep(args.tenures, args.difficulties, args.hashrate, args.gamma):
         row: dict[str, Any] = {
             "tenure": cell.tenure,
             "difficulty": cell.difficulty,
@@ -192,7 +180,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
             "alpha_star": cell.alpha_star,
         }
         if args.mc_check is not None:
-            row.update(_mc_check_cell(cell.lam, cell.alpha_star, grid.gamma,
+            row.update(_mc_check_cell(cell.lam, cell.alpha_star, args.gamma,
                                       args.mc_check, args.mc_seed))
         rows.append(row)
     return inputs, {"cells": rows}, rows, EXIT_OK
@@ -204,25 +192,28 @@ def _mc_check_cell(lam: float, alpha_star: float, gamma: float,
 
     Consistency means the share sits at or below the power share at the
     lower probe and at or above it at the upper probe, within three
-    standard errors each.  A probe that sees no resolution event has no
-    share: its ratio and the cell's verdict are None.
+    standard errors each.  The probes are clamped to [1e-3, 0.499]; one
+    that the clamp puts at or across alpha* is not simulated, and one that
+    sees no resolution event has no share.  Either leaves the cell's
+    verdict None.
     """
+    probes = dict.fromkeys(("mc_alpha_low", "mc_ratio_low", "mc_alpha_high", "mc_ratio_high",
+                            "mc_consistent"))
     if not (0.0 < alpha_star < 0.5):
-        return {"mc_alpha_low": None, "mc_ratio_low": None,
-                "mc_alpha_high": None, "mc_ratio_high": None, "mc_consistent": None}
-    alpha_low = max(alpha_star - MC_CHECK_ALPHA_OFFSET, 1e-3)
-    alpha_high = min(alpha_star + MC_CHECK_ALPHA_OFFSET, 0.499)
-    probes = {}
+        return probes
     checks = []
-    for label, alpha, sign in (("low", alpha_low, -1.0), ("high", alpha_high, 1.0)):
-        config = SimConfig(params=MiningParams(alpha=alpha, lam=lam, gamma=gamma),
-                           rounds=rounds, seed=seed)
-        result = simulate(config)
-        resolved = result.revenue_a + result.revenue_b > 0.0
-        probes[f"mc_alpha_{label}"] = alpha
-        probes[f"mc_ratio_{label}"] = result.ratio if resolved else None
-        checks.append(sign * (result.ratio - alpha) >= -3.0 * result.ratio_stderr
-                      if resolved else None)
+    for label, alpha, sign in (("low", max(alpha_star - MC_CHECK_ALPHA_OFFSET, 1e-3), -1.0),
+                               ("high", min(alpha_star + MC_CHECK_ALPHA_OFFSET, 0.499), 1.0)):
+        check = None
+        if sign * (alpha - alpha_star) > 0.0:
+            config = SimConfig(params=MiningParams(alpha=alpha, lam=lam, gamma=gamma),
+                               rounds=rounds, seed=seed)
+            result = simulate(config)
+            probes[f"mc_alpha_{label}"] = alpha
+            if result.revenue_a + result.revenue_b > 0.0:
+                probes[f"mc_ratio_{label}"] = result.ratio
+                check = sign * (result.ratio - alpha) >= -3.0 * result.ratio_stderr
+        checks.append(check)
     probes["mc_consistent"] = None if None in checks else all(checks)
     return probes
 

@@ -32,7 +32,9 @@ The Poisson split is the one modelling assumption added here on top of the
 protocol parameters: proof-of-work inter-solution times are exponential,
 so solution counts over a fixed tenure are Poisson and thin independently
 by power share.  Everything downstream (stationary analysis, simulation,
-sweeps) consumes only ``(alpha, lam, gamma)``.
+sweeps) consumes only ``(alpha, lam, gamma)``.  The protocol knobs enter
+only through ``lambda_from_protocol(tenure, difficulty, hashrate)``, the
+one place that checks them.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .errors import DivergentLead, InvalidParam
 
 __all__ = [
     "MiningParams",
-    "ProtocolParams",
     "TransitionProbs",
     "lambda_from_protocol",
     "round_success_probs",
@@ -101,26 +102,6 @@ class MiningParams:
 
 
 @dataclass(frozen=True)
-class ProtocolParams:
-    """Deployable protocol knobs that determine the round intensity.
-
-    tenure:     leader tenure length per round, seconds.
-    difficulty: expected hashes per header solution.
-    hashrate:   total network hashrate, hashes per second.
-    """
-
-    tenure: float
-    difficulty: float
-    hashrate: float
-
-    def __post_init__(self) -> None:
-        for name in ("tenure", "difficulty", "hashrate"):
-            value = getattr(self, name)
-            _require(math.isfinite(value) and value > 0.0,
-                     f"{name} must be positive, got {value}")
-
-
-@dataclass(frozen=True)
 class TransitionProbs:
     """The four named transition probabilities of the lead state machine.
 
@@ -150,9 +131,19 @@ class TransitionProbs:
                  f"p1 + p2 + p3 must not exceed 1, got {self.p1 + self.p2 + self.p3}")
 
 
-def lambda_from_protocol(proto: ProtocolParams) -> float:
-    """Expected header discoveries per round: tenure * hashrate / difficulty."""
-    return proto.tenure * proto.hashrate / proto.difficulty
+def lambda_from_protocol(tenure: float, difficulty: float, hashrate: float) -> float:
+    """Expected header discoveries per round: tenure * hashrate / difficulty.
+
+    tenure is the leader tenure in seconds, difficulty the expected hashes per
+    header solution and hashrate the network's hashes per second.  Each must
+    be a positive real, and the lambda they give must be finite and positive.
+    """
+    for name, value in (("tenure", tenure), ("difficulty", difficulty), ("hashrate", hashrate)):
+        _require(math.isfinite(value) and value > 0.0,
+                 f"{name} must be a positive real, got {value}")
+    lam = tenure * hashrate / difficulty
+    _require_lam(lam)
+    return lam
 
 
 def round_success_probs(params: MiningParams) -> tuple[float, float]:

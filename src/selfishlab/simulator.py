@@ -93,6 +93,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -126,6 +127,9 @@ class SimConfig:
     variant: str = "decrement"
 
     def __post_init__(self) -> None:
+        for name in ("rounds", "seed"):
+            if not isinstance(getattr(self, name), Integral):
+                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.rounds < 1:
             raise InvalidConfig(f"rounds must be >= 1, got {self.rounds}")
         if not (0 <= self.seed < 2 ** 64):

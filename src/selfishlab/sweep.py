@@ -6,7 +6,9 @@ assumed: a coarse scan over the admissible range locates the lowest probed
 alpha that is profitable, and bisection refines the bracket below it.
 ``resistance_sweep`` maps that threshold over a grid of protocol
 parameters, since tenure length and header difficulty determine the round
-intensity and therefore the whole attack model.
+intensity and therefore the whole attack model.  It checks its two axes
+and gamma itself, and takes each cell's lambda from
+``probmodel.lambda_from_protocol``, which checks the protocol triple.
 
 Both run one search, ``_thresholds``, over an array of lambdas at once.
 The scan evaluates the share on a (GRID_POINTS, lambdas) array, and the
@@ -28,14 +30,12 @@ import numpy as np
 
 from .errors import InvalidParam
 from .markov import revenue_ratio
-from .probmodel import (ProtocolParams, _require_gamma, _require_lam, lambda_from_protocol,
-                        lead_ratio)
+from .probmodel import _require_gamma, _require_lam, lambda_from_protocol, lead_ratio
 
 __all__ = [
     "GRID_POINTS",
     "ALPHA_GUARD",
     "ThresholdResult",
-    "SweepGrid",
     "SweepCell",
     "profit_threshold",
     "resistance_sweep",
@@ -62,31 +62,6 @@ class ThresholdResult:
     alpha_star: float
     bracket: tuple[float, float]
     evaluations: int
-
-
-@dataclass(frozen=True)
-class SweepGrid:
-    """Axes of a tenure x difficulty sweep at fixed hashrate and tie-break."""
-
-    tenures: tuple[float, ...]
-    difficulties: tuple[float, ...]
-    hashrate: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tenures", tuple(self.tenures))
-        object.__setattr__(self, "difficulties", tuple(self.difficulties))
-        for name in ("tenures", "difficulties"):
-            values = getattr(self, name)
-            if not values:
-                raise InvalidParam(f"{name} must not be empty")
-            if any(not (math.isfinite(v) and v > 0.0) for v in values):
-                raise InvalidParam(f"{name} must contain positive reals, got {values}")
-            if any(b <= a for a, b in zip(values, values[1:])):
-                raise InvalidParam(f"{name} must be strictly increasing, got {values}")
-        if not (math.isfinite(self.hashrate) and self.hashrate > 0.0):
-            raise InvalidParam(f"hashrate must be positive, got {self.hashrate}")
-        _require_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -143,22 +118,28 @@ def profit_threshold(lam: float, gamma: float, tol: float = _TOL) -> ThresholdRe
     return _thresholds([lam], gamma, tol)[0]
 
 
-def resistance_sweep(grid: SweepGrid) -> list[SweepCell]:
-    """Threshold table over the grid, row-major with tenure outermost.
+def resistance_sweep(tenures: Sequence[float], difficulties: Sequence[float],
+                     hashrate: float, gamma: float) -> list[SweepCell]:
+    """Threshold table over tenures x difficulties, row-major with tenure outermost.
 
-    The round intensity is a sufficient statistic for the threshold, so one
-    lock-step search runs over the sorted distinct lam values, at
-    ``profit_threshold``'s default tolerance; cells sharing a lam value share
-    their alpha_star bit for bit.  Raises InvalidParam when a lam overflows
-    or underflows.
+    Each axis must be nonempty and strictly increasing, and gamma in [0, 1];
+    ``lambda_from_protocol`` checks every (tenure, difficulty, hashrate)
+    triple and the lam it gives, and raises InvalidParam when a lam
+    overflows or underflows.  The round intensity is a sufficient statistic
+    for the threshold, so one lock-step search runs over the sorted distinct
+    lam values, at ``profit_threshold``'s default tolerance; cells sharing a
+    lam value share their alpha_star bit for bit.
     """
-    cells = [(tenure, difficulty, lambda_from_protocol(ProtocolParams(
-        tenure=tenure, difficulty=difficulty, hashrate=grid.hashrate)))
-        for tenure in grid.tenures for difficulty in grid.difficulties]
+    for name, axis in (("tenures", tenures), ("difficulties", difficulties)):
+        if len(axis) == 0:
+            raise InvalidParam(f"{name} must not be empty")
+        if any(b <= a for a, b in zip(axis, axis[1:])):
+            raise InvalidParam(f"{name} must be strictly increasing, got {axis}")
+    _require_gamma(gamma)
+    cells = [(tenure, difficulty, lambda_from_protocol(tenure, difficulty, hashrate))
+             for tenure in tenures for difficulty in difficulties]
     distinct = sorted({lam for _, _, lam in cells})
-    _require_lam(distinct[0])
-    _require_lam(distinct[-1])
-    found = _thresholds(distinct, grid.gamma, _TOL)
+    found = _thresholds(distinct, gamma, _TOL)
     alpha_star = {lam: result.alpha_star for lam, result in zip(distinct, found)}
     return [SweepCell(tenure=tenure, difficulty=difficulty, lam=lam, alpha_star=alpha_star[lam])
             for tenure, difficulty, lam in cells]

@@ -172,15 +172,32 @@ def test_sweep_mc_check(capsys):
 
 def test_sweep_mc_check_unresolved_probe_has_no_verdict(capsys):
     # lambda = 500: near alpha* = 0.499 both sides find a header in nearly every
-    # round, so 10^5 rounds see no resolution event and the share is undefined
+    # round, so 10^5 rounds at the low probe see no resolution event and the
+    # share is undefined; the high probe would be clamped to 0.499, below alpha*
     code, envelope, _ = run_json(capsys, [
         "sweep", "--tenures", "60", "--difficulties", "1.2e5", "--hashrate", "1e6",
         "--gamma", "0", "--mc-check", "100000", "--mc-seed", "11"])
     assert code == 0
     cell = envelope["results"]["cells"][0]
     assert cell["lambda"] == 500.0
-    assert cell["mc_alpha_high"] == 0.499
-    assert cell["mc_ratio_high"] is None
+    assert cell["mc_alpha_low"] == pytest.approx(cell["alpha_star"] - 0.02, abs=1e-15)
+    assert cell["mc_ratio_low"] is None
+    assert cell["mc_alpha_high"] is None and cell["mc_ratio_high"] is None
+    assert cell["mc_consistent"] is None
+
+
+def test_sweep_mc_check_skips_a_probe_clamped_across_the_threshold(capsys):
+    # lambda = 1.257 has alpha* = 2.09e-4, below the 1e-3 floor of the low probe,
+    # where the attacker already profits; that probe would test nothing
+    code, envelope, _ = run_json(capsys, [
+        "sweep", "--tenures", "1.257", "--difficulties", "1", "--hashrate", "1",
+        "--gamma", "0", "--mc-check", "1000000", "--mc-seed", "3"])
+    assert code == 0
+    cell = envelope["results"]["cells"][0]
+    assert 0.0 < cell["alpha_star"] < 1e-3
+    assert cell["mc_alpha_low"] is None and cell["mc_ratio_low"] is None
+    assert cell["mc_alpha_high"] == pytest.approx(cell["alpha_star"] + 0.02, abs=1e-15)
+    assert cell["mc_ratio_high"] is not None
     assert cell["mc_consistent"] is None
 
 

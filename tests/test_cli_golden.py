@@ -39,7 +39,8 @@ COMMANDS = [
     # lambda = 1.67, 50 and 100, and 0.5 at lambda = 5000
     "sweep --tenures 1,60,3000 --difficulties 6e5,6e7,6e9 --hashrate 1e6 --gamma 0",
     # lambda = 500, 1, 1000, 2: the lambda = 1 cell has alpha_star = 0 and is not simulated;
-    # the lambda = 500 and 1000 probes see no resolution event, so they have no share
+    # at lambda = 500 and 1000 the low probes see no resolution event, so they have no
+    # share, and the high probes are not simulated: the 0.499 clamp lies below alpha*
     "sweep --tenures 60,120 --difficulties 1.2e5,6e7 --hashrate 1e6 --gamma 0 "
     "--mc-check 100000 --mc-seed 11",
     "fix --alpha 0.3 --lambda 1 --multiplier 3",

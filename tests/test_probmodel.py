@@ -6,7 +6,6 @@ import pytest
 from selfishlab.errors import InvalidParam
 from selfishlab.probmodel import (
     MiningParams,
-    ProtocolParams,
     TransitionProbs,
     apply_fix,
     derive_transition_probs,
@@ -21,19 +20,27 @@ from selfishlab.probmodel import (
     (60.0, 2e6, 6e7, 2.0),
 ])
 def test_lambda_from_protocol(tenure, hashrate, difficulty, expected):
-    proto = ProtocolParams(tenure=tenure, difficulty=difficulty, hashrate=hashrate)
-    assert lambda_from_protocol(proto) == pytest.approx(expected, rel=1e-12)
+    assert lambda_from_protocol(tenure=tenure, difficulty=difficulty,
+                                hashrate=hashrate) == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("kwargs", [
-    dict(tenure=0.0, difficulty=6e7, hashrate=1e6),
-    dict(tenure=60.0, difficulty=-1.0, hashrate=1e6),
-    dict(tenure=60.0, difficulty=6e7, hashrate=0.0),
-    dict(tenure=math.nan, difficulty=6e7, hashrate=1e6),
+GOOD_TRIPLE = dict(tenure=60.0, difficulty=6e7, hashrate=1e6)
+
+
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(GOOD_TRIPLE))
+def test_lambda_from_protocol_rejects_nonpositive(name, value):
+    with pytest.raises(InvalidParam, match=f"{name} must be a positive real"):
+        lambda_from_protocol(**(GOOD_TRIPLE | {name: value}))
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(tenure=1e300, difficulty=1e-300, hashrate=1e6), "lam must be finite, got inf"),
+    (dict(tenure=1e-300, difficulty=1e300, hashrate=1e-30), "lam must be positive, got 0.0"),
 ])
-def test_protocol_params_rejects_nonpositive(kwargs):
-    with pytest.raises(InvalidParam):
-        ProtocolParams(**kwargs)
+def test_lambda_from_protocol_rejects_overflow_and_underflow(kwargs, message):
+    with pytest.raises(InvalidParam, match=message):
+        lambda_from_protocol(**kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [

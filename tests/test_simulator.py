@@ -43,6 +43,11 @@ def test_config_validation():
     with pytest.raises(InvalidConfig):
         SimConfig(params=REFERENCE, rounds=10, seed=1,
                   accounting="paper", variant="reset")
+    with pytest.raises(InvalidConfig, match="rounds must be an integer"):
+        SimConfig(params=REFERENCE, rounds=1e6, seed=42)
+    with pytest.raises(InvalidConfig, match="seed must be an integer"):
+        SimConfig(params=REFERENCE, rounds=10, seed=1.5)
+    assert SimConfig(params=REFERENCE, rounds=np.int64(10), seed=np.uint64(1)).rounds == 10
 
 
 def test_simulate_rejects_majority_attacker():

@@ -11,7 +11,7 @@ import selfishlab.sweep
 from selfishlab.errors import InvalidParam
 from selfishlab.markov import is_profitable
 from selfishlab.probmodel import MiningParams
-from selfishlab.sweep import SweepGrid, _thresholds, profit_threshold, resistance_sweep
+from selfishlab.sweep import _thresholds, profit_threshold, resistance_sweep
 from threshold_reference import profit_threshold as reference_threshold
 
 GAMMAS = (0.0, 0.1, 0.25, 0.4, 0.5, 0.7, 1.0)
@@ -80,21 +80,22 @@ def test_threshold_validation():
 
 
 def test_grid_validation():
-    with pytest.raises(InvalidParam):
-        SweepGrid(tenures=(), difficulties=(6e7,), hashrate=1e6, gamma=0.5)
-    with pytest.raises(InvalidParam):
-        SweepGrid(tenures=(60.0, 60.0), difficulties=(6e7,), hashrate=1e6, gamma=0.5)
-    with pytest.raises(InvalidParam):
-        SweepGrid(tenures=(120.0, 60.0), difficulties=(6e7,), hashrate=1e6, gamma=0.5)
-    with pytest.raises(InvalidParam):
-        SweepGrid(tenures=(60.0,), difficulties=(-6e7,), hashrate=1e6, gamma=0.5)
-    with pytest.raises(InvalidParam):
-        SweepGrid(tenures=(60.0,), difficulties=(6e7,), hashrate=0.0, gamma=0.5)
+    with pytest.raises(InvalidParam, match="tenures must not be empty"):
+        resistance_sweep((), (6e7,), 1e6, 0.5)
+    with pytest.raises(InvalidParam, match="tenures must be strictly increasing"):
+        resistance_sweep((60.0, 60.0), (6e7,), 1e6, 0.5)
+    with pytest.raises(InvalidParam, match="tenures must be strictly increasing"):
+        resistance_sweep((120.0, 60.0), (6e7,), 1e6, 0.5)
+    with pytest.raises(InvalidParam, match="difficulty must be a positive real"):
+        resistance_sweep((60.0,), (-6e7,), 1e6, 0.5)
+    with pytest.raises(InvalidParam, match="hashrate must be a positive real"):
+        resistance_sweep((60.0,), (6e7,), 0.0, 0.5)
+    with pytest.raises(InvalidParam, match="gamma must be in"):
+        resistance_sweep((60.0,), (6e7,), 1e6, 1.5)
 
 
 def test_single_cell_reproduces_direct_threshold():
-    grid = SweepGrid(tenures=(120.0,), difficulties=(6e7,), hashrate=1e6, gamma=0.0)
-    cells = resistance_sweep(grid)
+    cells = resistance_sweep((120.0,), (6e7,), 1e6, 0.0)
     assert len(cells) == 1
     cell = cells[0]
     assert cell.lam == pytest.approx(2.0, rel=1e-12)
@@ -102,9 +103,7 @@ def test_single_cell_reproduces_direct_threshold():
 
 
 def test_sweep_order_and_lambda_sufficiency():
-    grid = SweepGrid(tenures=(60.0, 120.0), difficulties=(6e7, 1.2e8),
-                     hashrate=1e6, gamma=0.0)
-    cells = resistance_sweep(grid)
+    cells = resistance_sweep((60.0, 120.0), (6e7, 1.2e8), 1e6, 0.0)
     assert [(c.tenure, c.difficulty) for c in cells] == [
         (60.0, 6e7), (60.0, 1.2e8), (120.0, 6e7), (120.0, 1.2e8)]
     by_pair = {(c.tenure, c.difficulty): c for c in cells}
@@ -114,23 +113,20 @@ def test_sweep_order_and_lambda_sufficiency():
 
 
 def test_sweep_even_tiebreak_all_zero():
-    grid = SweepGrid(tenures=(30.0, 60.0), difficulties=(3e7, 6e7),
-                     hashrate=1e6, gamma=0.5)
-    assert all(cell.alpha_star == 0.0 for cell in resistance_sweep(grid))
+    assert all(cell.alpha_star == 0.0
+               for cell in resistance_sweep((30.0, 60.0), (3e7, 6e7), 1e6, 0.5))
 
 
 def test_sweep_determinism():
-    grid = SweepGrid(tenures=(60.0, 120.0), difficulties=(6e7,), hashrate=1e6, gamma=0.0)
-    assert resistance_sweep(grid) == resistance_sweep(grid)
+    grid = ((60.0, 120.0), (6e7,), 1e6, 0.0)
+    assert resistance_sweep(*grid) == resistance_sweep(*grid)
 
 
 def test_sweep_rejects_lambda_out_of_range():
     with pytest.raises(InvalidParam):   # lam overflows to inf
-        resistance_sweep(SweepGrid(tenures=(1e300,), difficulties=(1e-300,),
-                                   hashrate=1e6, gamma=0.0))
+        resistance_sweep((1e300,), (1e-300,), 1e6, 0.0)
     with pytest.raises(InvalidParam):   # lam underflows to 0
-        resistance_sweep(SweepGrid(tenures=(1e-300,), difficulties=(1e300,),
-                                   hashrate=1e-30, gamma=0.0))
+        resistance_sweep((1e-300,), (1e300,), 1e-30, 0.0)
 
 
 # -- the lock-step search against the scalar reference, bit for bit ------------
@@ -166,13 +162,11 @@ def test_search_matches_reference_on_arbitrary_inputs(lams, gamma, tol):
 def test_every_sweep_cell_matches_reference(gamma):
     # lambda from 1.67e-4 to 5000, then a seeded 8 x 8 grid
     rng = np.random.default_rng(9)
-    grids = [SweepGrid(tenures=(1.0, 60.0, 3000.0), difficulties=(6e5, 6e7, 6e9),
-                       hashrate=1e6, gamma=gamma),
-             SweepGrid(tenures=np.sort(_log_uniform(rng, 1.0, 3000.0, 8)).tolist(),
-                       difficulties=np.sort(_log_uniform(rng, 6e5, 6e9, 8)).tolist(),
-                       hashrate=1e6, gamma=gamma)]
-    for grid in grids:
-        for cell in resistance_sweep(grid):
+    grids = [((1.0, 60.0, 3000.0), (6e5, 6e7, 6e9)),
+             (np.sort(_log_uniform(rng, 1.0, 3000.0, 8)),
+              np.sort(_log_uniform(rng, 6e5, 6e9, 8)))]
+    for tenures, difficulties in grids:
+        for cell in resistance_sweep(tenures, difficulties, 1e6, gamma):
             assert cell.alpha_star == reference_threshold(cell.lam, gamma).alpha_star
 
 
