@@ -268,22 +268,18 @@ def _oracle_suite(cases: int, seed: int) -> dict[str, Any]:
     ``worst_case`` gives p0..p3 and K of the case with the largest error.
     """
     rng = np.random.default_rng(seed)
-    failures = 0
-    worst = 0.0
-    worst_case = ""
+    checks = []
     for _ in range(cases):
         probs = _random_transition_probs(rng)
         dist = stationary(probs)
         K = _oracle_states(dist.rho)
-        linf = _lead_mass_gap(stationary_truncated_oracle(probs, K), dist)
-        if not worst_case or linf > worst:
-            worst = linf
-            worst_case = (f"p0={probs.p0!r} p1={probs.p1!r} p2={probs.p2!r} "
-                          f"p3={probs.p3!r} K={K}")
-        if linf > VERIFY_ORACLE_TOL:
-            failures += 1
-    return {"suite": "stationary-oracle", "cases": cases, "failures": failures,
-            "worst": worst, "worst_case": worst_case, "tolerance": VERIFY_ORACLE_TOL}
+        checks.append((_lead_mass_gap(stationary_truncated_oracle(probs, K), dist), probs, K))
+    worst, probs, K = max(checks, key=lambda check: check[0])
+    return {"suite": "stationary-oracle", "cases": cases,
+            "failures": sum(linf > VERIFY_ORACLE_TOL for linf, _, _ in checks),
+            "worst": worst,
+            "worst_case": f"p0={probs.p0!r} p1={probs.p1!r} p2={probs.p2!r} p3={probs.p3!r} K={K}",
+            "tolerance": VERIFY_ORACLE_TOL}
 
 
 def _simulation_gap(params: MiningParams, rounds: int, seed: int) -> tuple[float, float]:
@@ -309,22 +305,18 @@ def _mc_suite(seed: int) -> dict[str, Any]:
 
     ``worst_case`` is the ``simulate`` argv of the config with the largest |z|.
     """
-    failures = 0
-    worst_z = 0.0
-    worst_occ = 0.0
-    worst_case = ""
-    for index, (alpha, lam, gamma) in enumerate(VERIFY_MC_CONFIGS):
-        z, occupancy_gap = _simulation_gap(MiningParams(alpha=alpha, lam=lam, gamma=gamma),
-                                           VERIFY_MC_ROUNDS, seed + index)
-        if not worst_case or abs(z) > worst_z:
-            worst_z = abs(z)
-            worst_case = (f"simulate --alpha {alpha!r} --lambda {lam!r} --gamma {gamma!r} "
-                          f"--rounds {VERIFY_MC_ROUNDS} --seed {seed + index}")
-        worst_occ = max(worst_occ, occupancy_gap)
-        if abs(z) > VERIFY_MAX_ABS_Z or occupancy_gap > VERIFY_MAX_OCC_LINF:
-            failures += 1
-    return {"suite": "simulation-analytic", "cases": len(VERIFY_MC_CONFIGS), "failures": failures,
-            "worst": worst_z, "worst_case": worst_case, "worst_occupancy_linf": worst_occ,
+    gaps = [_simulation_gap(MiningParams(alpha=alpha, lam=lam, gamma=gamma),
+                            VERIFY_MC_ROUNDS, seed + index)
+            for index, (alpha, lam, gamma) in enumerate(VERIFY_MC_CONFIGS)]
+    index = max(range(len(gaps)), key=lambda i: abs(gaps[i][0]))
+    alpha, lam, gamma = VERIFY_MC_CONFIGS[index]
+    return {"suite": "simulation-analytic", "cases": len(gaps),
+            "failures": sum(abs(z) > VERIFY_MAX_ABS_Z or occupancy_gap > VERIFY_MAX_OCC_LINF
+                            for z, occupancy_gap in gaps),
+            "worst": abs(gaps[index][0]),
+            "worst_case": (f"simulate --alpha {alpha!r} --lambda {lam!r} --gamma {gamma!r} "
+                           f"--rounds {VERIFY_MC_ROUNDS} --seed {seed + index}"),
+            "worst_occupancy_linf": max(occupancy_gap for _, occupancy_gap in gaps),
             "max_abs_z": VERIFY_MAX_ABS_Z, "max_occupancy_linf": VERIFY_MAX_OCC_LINF}
 
 

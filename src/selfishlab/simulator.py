@@ -296,14 +296,6 @@ def _chunk(a: np.ndarray, b: np.ndarray, draw: Callable[[int], np.ndarray],
     return float(revenue_a), float(revenue_b), occupancy
 
 
-def _simulate_chunk(rng: np.random.Generator, p_attacker: float, p_honest: float,
-                    gamma: float, accounting: str, variant: str,
-                    rounds: int) -> tuple[float, float, np.ndarray]:
-    """One independent chunk: (revenue_a, revenue_b, occupancy counts)."""
-    a, b = _outcomes(rng.random(rounds), p_attacker, p_honest)
-    return _chunk(a, b, rng.random, gamma, accounting, variant)
-
-
 def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
     """Run the configured number of rounds and accumulate statistics.
 
@@ -315,19 +307,18 @@ def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
     p_attacker, p_honest = round_success_probs(config.params)
     gamma = config.params.gamma
 
-    sizes = [CHUNK_ROUNDS] * (config.rounds // CHUNK_ROUNDS)
-    if config.rounds % CHUNK_ROUNDS:
-        sizes.append(config.rounds % CHUNK_ROUNDS)
+    def run_chunk(start: int) -> tuple[float, float, np.ndarray]:
+        rng = _chunk_rng(config.seed, start // CHUNK_ROUNDS)
+        a, b = _outcomes(rng.random(min(CHUNK_ROUNDS, config.rounds - start)),
+                         p_attacker, p_honest)
+        return _chunk(a, b, rng.random, gamma, config.accounting, config.variant)
 
-    def run_chunk(index: int) -> tuple[float, float, np.ndarray]:
-        return _simulate_chunk(_chunk_rng(config.seed, index), p_attacker, p_honest,
-                               gamma, config.accounting, config.variant, sizes[index])
-
+    starts = range(0, config.rounds, CHUNK_ROUNDS)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunk_stats = list(pool.map(run_chunk, range(len(sizes))))
+            chunk_stats = list(pool.map(run_chunk, starts))
     else:
-        chunk_stats = [run_chunk(i) for i in range(len(sizes))]
+        chunk_stats = list(map(run_chunk, starts))
 
     revenue = np.array([stats[:2] for stats in chunk_stats])  # (batches, 2)
     revenue_a, revenue_b = revenue.sum(axis=0).tolist()

@@ -230,6 +230,12 @@ def test_sweep_rejects_bad_axes(capsys):
                 "--hashrate", "1e6"]) == 2
     assert run(["sweep", "--tenures", "60,abc", "--difficulties", "6e7",
                 "--hashrate", "1e6"]) == 2
+    capsys.readouterr()
+    assert run(["sweep", "--tenures", ",", "--difficulties", "6e7",
+                "--hashrate", "1e6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("error: argument --tenures: empty list\n")
 
 
 def test_fix_json(capsys):
@@ -349,13 +355,17 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("seed", [-1, VERIFY_MAX_SEED + 1, 2 ** 64 - 1])
-def test_verify_rejects_seed_out_of_range(capsys, seed):
+@pytest.mark.parametrize("flags,message", [
     # simulation case i runs with seed + i, which must stay a 64-bit seed
-    assert run(["verify", "--cases", "5", "--seed", str(seed)]) == 2
+    *((["--seed", str(seed)], f"--seed must be in [0, {VERIFY_MAX_SEED}], got {seed}")
+      for seed in (-1, VERIFY_MAX_SEED + 1, 2 ** 64 - 1)),
+    (["--cases", "0"], "--cases must be at least 1, got 0"),
+])
+def test_verify_rejects_arguments_out_of_range(capsys, flags, message):
+    assert run(["verify", "--cases", "5", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --seed must be in [0, {VERIFY_MAX_SEED}], got {seed}\n"
+    assert captured.err == f"error: {message}\n"
 
 
 def test_verify_runs_at_the_largest_seed(capsys):
@@ -381,6 +391,12 @@ def test_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     envelope = json.loads(target.read_text())
     assert envelope["results"]["ratio"] == pytest.approx(0.7329191907938145, abs=1e-9)
+
+    missing = tmp_path / "missing" / "out.json"
+    assert run(["analyze", "--alpha", "0.3", "--lambda", "1", "--output", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {missing}: ")
 
 
 def test_json_inputs_round_trip(capsys):

@@ -1,7 +1,10 @@
-"""The package's public names: every exported name exists, and the README examples run."""
+"""The package's public names: every exported name exists, the README examples run,
+and the package imports nothing beyond its declared runtime dependency."""
 
+import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,21 @@ def test_readme_commands_run(capsys):
     for argv in commands:
         assert run(argv) == 0, argv
         capsys.readouterr()
+
+
+# pyproject.toml declares only numpy; the test extras (mpmath, hypothesis) are
+# installed wherever the tests run, so an import of one would pass them and
+# break a plain install
+RUNTIME_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "__future__"}
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    imported = set()
+    for path in Path(selfishlab.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name.split(".")[0]) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert ("cli.py", "numpy") in imported
+    assert sorted(entry for entry in imported if entry[1] not in RUNTIME_IMPORTS) == []
