@@ -63,13 +63,13 @@ dropped.  Paper revenue needs only four counts: honest-only steps at lead
 accounting pays at excursion boundaries: an excursion opens at an
 attacker-only step at lead 0 and closes at an honest-only step at lead 1
 (a tie) or, under "reset", at lead 2.  Outside the excursions an
-honest-only step pays the honest side and a both-find round is a race; one
-``np.searchsorted`` of the open, close and fork-start steps into the
-both-find rounds counts them, and the races before open t precede the tie
-at close t.  A fork starts at an open (or, under "decrement", at a
-collapse) at step k; closed at step j it holds 1 + u + c private and
-d + 1 + c public blocks, where c counts the both-find rounds between
-them and the u up and d down steps between them satisfy
+honest-only step pays the honest side and a both-find round is a race.
+Step k is the i-th round where some side finds, so i - k both-find rounds
+precede it; read at the open, close and fork-start steps they count the
+races, and the races before open t precede the tie at close t.  A fork
+starts at step k, an open or, under "decrement", the step before a tie;
+closed at step j it holds 1 + u + c private and d + 1 + c public blocks,
+where c both-find rounds and u up and d down steps lie between them, with
 u + d = j - k - 1 and u - d = L_j - 1, L_j the lead before j.
 ``tests/chunk_reference.py`` keeps the per-round loop that pins it.
 
@@ -127,9 +127,9 @@ class SimConfig:
     variant: str = "decrement"
 
     def __post_init__(self) -> None:
-        for name in ("rounds", "seed"):
-            if not isinstance(getattr(self, name), Integral):
-                raise InvalidConfig(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, value in (("rounds", self.rounds), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise InvalidConfig(f"{name} must be an integer, got {value!r}")
         if self.rounds < 1:
             raise InvalidConfig(f"rounds must be >= 1, got {self.rounds}")
         if not (0 <= self.seed < 2 ** 64):
@@ -256,26 +256,25 @@ def _chunk(a: np.ndarray, b: np.ndarray, draw: Callable[[int], np.ndarray],
     else:
         # excursions open at an attacker-only step at lead 0 and close at a tie
         # or, under "reset", at a collapse; opens and closes alternate
-        after = np.cumsum(runs[:len(up)], out=runs[:len(up)])  # 1 + each step's round
         lead, down = lead[:len(up)], ~up
         zero, tied, collapsed = lead == 0, down & (lead == 1), down & (lead == 2)
         opens = np.flatnonzero(up & zero)
         if variant == "reset":
             closes = np.flatnonzero(tied | collapsed)
             begins = opens[:len(closes)]
-        else:  # a collapse pays 2 and restarts the fork at a one-block lead
+        else:  # the step before a tie brought the lead to 1, an open or a
+            # collapse, which pays 2 and restarts the fork: that step began it
             closes = np.flatnonzero(tied)
-            starts = np.flatnonzero(up & zero | collapsed)
-            begins = starts[np.searchsorted(starts, closes) - 1]
+            begins = closes - 1
         ties = tied[closes]
-        # both-find rounds before each open, close and fork start; searching at
-        # 1 + a step's round counts the same, as no step is a both-find round.
-        # A chunk that ends at lead 0 ends as if an excursion opened there.
-        marks = after[opens] if len(opens) > len(closes) else np.append(after[opens], len(a))
-        both = np.flatnonzero(a & b)
-        opened, closed, begun = (np.searchsorted(both, at.astype(np.intp))
-                                 for at in (marks, after[closes], after[begins]))
-        del both, after, runs  # freed before the race uniforms are drawn
+        # both-find rounds before each open, close and fork start: step k is the
+        # at[k]-th round where some side finds, and k of the rounds before it are
+        # steps.  A chunk that ends at lead 0 ends as if an excursion opened there.
+        at = np.flatnonzero((a ^ b)[np.flatnonzero(a | b)])
+        opened, closed, begun = (at[k] - k for k in (opens, closes, begins))
+        if len(opens) == len(closes):
+            opened = np.append(opened, np.count_nonzero(a & b))
+        del at, runs  # freed before the race uniforms are drawn
         opened[1:] -= closed
         idle = np.cumsum(opened)  # lead-0 races before each open
         # the lead-0 races before open t come before close t, so a tie at close

@@ -47,6 +47,11 @@ def test_config_validation():
         SimConfig(params=REFERENCE, rounds=1e6, seed=42)
     with pytest.raises(InvalidConfig, match="seed must be an integer"):
         SimConfig(params=REFERENCE, rounds=10, seed=1.5)
+    # bool subclasses int, but True rounds or a False seed is a mistake
+    with pytest.raises(InvalidConfig, match="rounds must be an integer, got True"):
+        SimConfig(params=REFERENCE, rounds=True, seed=1)
+    with pytest.raises(InvalidConfig, match="seed must be an integer, got False"):
+        SimConfig(params=REFERENCE, rounds=10, seed=False)
     assert SimConfig(params=REFERENCE, rounds=np.int64(10), seed=np.uint64(1)).rounds == 10
 
 
@@ -245,6 +250,23 @@ def test_simulate_one_round_past_a_chunk_matches_loop(accounting, variant):
     assert result.occupancy == tuple((counts / config.rounds).tolist())
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(codes=ROUND_CODES)
+def test_the_step_before_a_tie_began_its_fork(codes):
+    """A tie, an honest-only step at lead 1, follows an open (attacker-only at
+    lead 0) or, under decrement only, a collapse (honest-only at lead 2), so it
+    is never a chunk's first step.  The full ledger's decrement fork starts rest
+    on this, which holds only for a chunk that opens at lead 0."""
+    up = codes[(codes == 1) | (codes == 2)] == 2
+    for variant in ("decrement", "reset"):
+        lead = _lead_before(up, variant)[:len(up)]
+        before = np.flatnonzero(~up & (lead == 1)) - 1
+        assert np.all(before >= 0)
+        opened = up[before] & (lead[before] == 0)
+        collapsed = ~up[before] & (lead[before] == 2)
+        assert np.all(opened | collapsed if variant == "decrement" else opened)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
 @given(codes=ROUND_CODES)
 def test_chunk_occupancy_counts_every_round_once(codes):
@@ -421,6 +443,8 @@ def _share_z(alpha, lam, gamma, rounds, seed, accounting="paper", variant="decre
 @pytest.mark.parametrize("variant", ["decrement", "reset"])
 @pytest.mark.parametrize("alpha,lam,gamma", [
     (0.1, 0.5, 0.0), (0.3, 1.0, 0.25), (0.2, 2.0, 0.5), (0.4, 0.3, 0.9),
+    # most rounds both-find: fork sizes and lead-0 races carry the revenue
+    (0.2, 6.0, 0.5), (0.35, 5.0, 0.25),
 ])
 def test_full_accounting_matches_closed_form(alpha, lam, gamma, variant):
     assert abs(_share_z(alpha, lam, gamma, 1_000_000, 11, "full", variant)) <= 4.0
