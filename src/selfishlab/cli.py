@@ -36,6 +36,9 @@ fix        alpha,multiplier,lambda_before,gamma_before,ratio_before,
 
 Exit codes: 0 success, 2 invalid arguments or parameters, 3 model error
 (divergent lead), 4 verification failure.
+
+A call builds only the parser of the subcommand its first argument names;
+``--help``, ``--version`` and an argv that names no subcommand build all six.
 """
 
 from __future__ import annotations
@@ -436,86 +439,98 @@ def _add_model_args(sub: argparse.ArgumentParser) -> None:
                      help="network hashrate, hashes per second")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_simulate_args(sub: argparse.ArgumentParser) -> None:
+    _add_model_args(sub)
+    sub.add_argument("--rounds", type=int, required=True, help="number of rounds")
+    sub.add_argument("--seed", type=int, required=True, help="64-bit root seed")
+    sub.add_argument("--accounting", choices=ACCOUNTING_MODES, default="paper",
+                     help="award rules (default: paper)")
+    sub.add_argument("--variant", choices=VARIANTS, default="decrement",
+                     help="lead-2 resolution semantics (default: decrement)")
+
+
+def _add_threshold_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--lambda", dest="lam", type=float, required=True,
+                     help="expected headers per round")
+    sub.add_argument("--gamma", type=float, default=0.5,
+                     help="tie-break probability (default: 0.5)")
+    sub.add_argument("--tol", type=float, default=1e-6,
+                     help="bisection bracket width (default: 1e-6)")
+
+
+def _add_sweep_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--tenures", type=_float_list, required=True,
+                     help="comma-separated tenure lengths, seconds")
+    sub.add_argument("--difficulties", type=_float_list, required=True,
+                     help="comma-separated header difficulties, hashes")
+    sub.add_argument("--hashrate", type=float, required=True,
+                     help="network hashrate, hashes per second")
+    sub.add_argument("--gamma", type=float, default=0.5,
+                     help="tie-break probability (default: 0.5)")
+    sub.add_argument("--mc-check", type=int, default=None, metavar="ROUNDS",
+                     help="cross-check each nondegenerate cell by simulating "
+                          "ROUNDS rounds just below and above its threshold")
+    sub.add_argument("--mc-seed", type=int, default=42,
+                     help="seed for --mc-check simulations (default: 42)")
+
+
+def _add_verify_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--cases", type=int, default=VERIFY_DEFAULT_CASES,
+                     help=f"random cases for the oracle suite "
+                          f"(default: {VERIFY_DEFAULT_CASES})")
+    sub.add_argument("--seed", type=int, default=VERIFY_DEFAULT_SEED,
+                     help=f"seed for both suites (default: {VERIFY_DEFAULT_SEED})")
+
+
+def _add_fix_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--alpha", type=float, required=True,
+                     help="attacker's share of total mining power")
+    sub.add_argument("--lambda", dest="lam", type=float, required=True,
+                     help="expected headers per round before the fix")
+    sub.add_argument("--multiplier", type=float, required=True,
+                     help="header multiplier applied by the fix, >= 1")
+    sub.add_argument("--rounds", type=int, default=None,
+                     help="also simulate both settings for this many rounds")
+    sub.add_argument("--seed", type=int, default=42,
+                     help="seed for the optional simulations (default: 42)")
+
+
+# name -> (help, handler, adder of the command's own arguments)
+_COMMANDS = {
+    "analyze": ("closed-form analysis", _cmd_analyze, _add_model_args),
+    "simulate": ("seeded Monte Carlo run", _cmd_simulate, _add_simulate_args),
+    "threshold": ("smallest profitable attacker share", _cmd_threshold, _add_threshold_args),
+    "sweep": ("threshold table over a protocol grid", _cmd_sweep, _add_sweep_args),
+    "verify": ("run the self-check suites", _cmd_verify, _add_verify_args),
+    "fix": ("evaluate the multi-header mitigation", _cmd_fix, _add_fix_args),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with ``command``'s subparser only, or all six if it names none."""
     parser = argparse.ArgumentParser(
         prog="selfishlab",
         description="Block-withholding attack analysis for a tenure-based "
                     "bilayer Nakamoto consensus protocol.")
     parser.add_argument("--version", action="version", version=f"selfishlab {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    analyze = commands.add_parser("analyze", help="closed-form analysis")
-    _add_model_args(analyze)
-    _add_output_args(analyze)
-    analyze.set_defaults(handler=_cmd_analyze)
-
-    sim = commands.add_parser("simulate", help="seeded Monte Carlo run")
-    _add_model_args(sim)
-    sim.add_argument("--rounds", type=int, required=True, help="number of rounds")
-    sim.add_argument("--seed", type=int, required=True, help="64-bit root seed")
-    sim.add_argument("--accounting", choices=ACCOUNTING_MODES, default="paper",
-                     help="award rules (default: paper)")
-    sim.add_argument("--variant", choices=VARIANTS, default="decrement",
-                     help="lead-2 resolution semantics (default: decrement)")
-    _add_output_args(sim)
-    sim.set_defaults(handler=_cmd_simulate)
-
-    threshold = commands.add_parser("threshold", help="smallest profitable attacker share")
-    threshold.add_argument("--lambda", dest="lam", type=float, required=True,
-                           help="expected headers per round")
-    threshold.add_argument("--gamma", type=float, default=0.5,
-                           help="tie-break probability (default: 0.5)")
-    threshold.add_argument("--tol", type=float, default=1e-6,
-                           help="bisection bracket width (default: 1e-6)")
-    _add_output_args(threshold)
-    threshold.set_defaults(handler=_cmd_threshold)
-
-    sweep = commands.add_parser("sweep", help="threshold table over a protocol grid")
-    sweep.add_argument("--tenures", type=_float_list, required=True,
-                       help="comma-separated tenure lengths, seconds")
-    sweep.add_argument("--difficulties", type=_float_list, required=True,
-                       help="comma-separated header difficulties, hashes")
-    sweep.add_argument("--hashrate", type=float, required=True,
-                       help="network hashrate, hashes per second")
-    sweep.add_argument("--gamma", type=float, default=0.5,
-                       help="tie-break probability (default: 0.5)")
-    sweep.add_argument("--mc-check", type=int, default=None, metavar="ROUNDS",
-                       help="cross-check each nondegenerate cell by simulating "
-                            "ROUNDS rounds just below and above its threshold")
-    sweep.add_argument("--mc-seed", type=int, default=42,
-                       help="seed for --mc-check simulations (default: 42)")
-    _add_output_args(sweep)
-    sweep.set_defaults(handler=_cmd_sweep)
-
-    verify = commands.add_parser("verify", help="run the self-check suites")
-    verify.add_argument("--cases", type=int, default=VERIFY_DEFAULT_CASES,
-                        help=f"random cases for the oracle suite "
-                             f"(default: {VERIFY_DEFAULT_CASES})")
-    verify.add_argument("--seed", type=int, default=VERIFY_DEFAULT_SEED,
-                        help=f"seed for both suites (default: {VERIFY_DEFAULT_SEED})")
-    _add_output_args(verify)
-    verify.set_defaults(handler=_cmd_verify)
-
-    fix = commands.add_parser("fix", help="evaluate the multi-header mitigation")
-    fix.add_argument("--alpha", type=float, required=True,
-                     help="attacker's share of total mining power")
-    fix.add_argument("--lambda", dest="lam", type=float, required=True,
-                     help="expected headers per round before the fix")
-    fix.add_argument("--multiplier", type=float, required=True,
-                     help="header multiplier applied by the fix, >= 1")
-    fix.add_argument("--rounds", type=int, default=None,
-                     help="also simulate both settings for this many rounds")
-    fix.add_argument("--seed", type=int, default=42,
-                     help="seed for the optional simulations (default: 42)")
-    _add_output_args(fix)
-    fix.set_defaults(handler=_cmd_fix)
-
+    names = [command] if command in _COMMANDS else list(_COMMANDS)
+    # one subparser still shows all six in usage lines; six leave it unset, so the
+    # invalid-choice and missing-command errors keep naming "argument command"
+    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
+    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, handler, add_args = _COMMANDS[name]
+        sub = commands.add_parser(name, help=help_text)
+        add_args(sub)
+        _add_output_args(sub)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, execute one subcommand, and return the exit code."""
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help

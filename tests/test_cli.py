@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from selfishlab import MiningParams, SimConfig, __version__, is_profitable, simulate
-from selfishlab.cli import VERIFY_MAX_SEED, _simulation_gap, run
+from selfishlab.cli import VERIFY_MAX_SEED, _build_parser, _simulation_gap, run
 from selfishlab.markov import q_at, stationary, stationary_truncated_oracle
 from selfishlab.probmodel import TransitionProbs
 from selfishlab.simulator import CHUNK_ROUNDS
@@ -413,7 +413,9 @@ def test_json_inputs_round_trip(capsys):
 
 def test_usage_errors(capsys):
     assert run([]) == 2
+    assert "error: the following arguments are required: command" in capsys.readouterr().err
     assert run(["unknown"]) == 2
+    assert "error: argument command: invalid choice: 'unknown'" in capsys.readouterr().err
     assert run(["simulate", "--alpha", "0.3", "--lambda", "1",
                 "--rounds", "10", "--seed", "1", "--accounting", "bogus"]) == 2
 
@@ -421,6 +423,53 @@ def test_usage_errors(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+# a well-formed argv tail per command, whose first option takes the value after it
+WELL_FORMED = {
+    "analyze": ["--alpha", "0.3", "--lambda", "1"],
+    "simulate": ["--alpha", "0.3", "--lambda", "1", "--rounds", "10", "--seed", "1"],
+    "threshold": ["--lambda", "2"],
+    "sweep": ["--tenures", "60", "--difficulties", "6e7", "--hashrate", "1e6"],
+    "verify": ["--cases", "1"],
+    "fix": ["--alpha", "0.3", "--lambda", "1", "--multiplier", "3"],
+}
+
+
+@pytest.mark.parametrize("name", WELL_FORMED)
+def test_one_command_parser_matches_the_full_parser(capsys, name):
+    # run builds only the named command's parser; its help, usage lines and
+    # parse errors must read as the full parser's (the golden file pins no stderr)
+    one, full = _build_parser(name), _build_parser()
+
+    def subparser(parser):
+        return next(action for action in parser._actions if action.dest == "command").choices[name]
+
+    assert subparser(one).format_help() == subparser(full).format_help()
+    assert one.format_usage() == full.format_usage()
+    tail = WELL_FORMED[name]
+    malformed = [
+        tail + ["--bogus", "1"],                    # unknown option
+        tail + ["extra"],                           # extra positional
+        tail + ["--format", "xml"],                 # bad choice
+        [tail[0], "x", *tail[2:]],                  # not a number
+        tail[2:] if name != "verify" else ["--seed"],   # missing required option or value
+    ]
+    for argv in ([name, *rest] for rest in malformed):
+        code = run(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            full.parse_args(argv)
+        assert (code, got.out, got.err) == (exc.value.code, "", capsys.readouterr().err), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--alpha", "0.3", "--lambda", "1", "--format", "json"], ["--version"]])
+def test_run_parses_sys_argv_and_tuples_as_lists(capsys, monkeypatch, argv):
+    expected = run(list(argv)), capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["selfishlab", *argv])
+    assert (run(None), capsys.readouterr().out) == expected
+    assert (run(tuple(argv)), capsys.readouterr().out) == expected
 
 
 def test_module_runs_from_an_uninstalled_checkout():
