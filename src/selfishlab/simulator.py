@@ -46,14 +46,14 @@ side iff u < p_a p_b or p_a <= u < p_a + (p_b - p_a p_b), so the two are
 independent with the round probabilities.  Only a *step*, a round where
 exactly one side finds, moves the lead: idle and both-find rounds keep it.
 ``_steps`` keeps the step rounds and the run lengths between them, and
-``_lead_before`` walks the steps alone: W = cumsum(x), x = +1 on an
-attacker-only step and -1 on an honest-only one.  "decrement": W reflected
-at 0.  "reset": an excursion opens at an attacker-only step i at lead 0 and
-ends at the first step j > i with W_j <= W_i (a down step from lead 2 or
-1), found by one stable sort of the levels of W; the lead after a step is
-W minus a per-excursion baseline W_i - 1, clipped at 0, whose baselines
-are laid out by one ``np.repeat`` (outside an excursion the baseline
-exceeds every W).  The walk ends with one idle sentinel, the lead at the
+``_lead_before`` walks the steps alone: the lead is the walk cumsum(x)
+reflected at 0, x = +1 on an attacker-only step and -1 on an honest-only
+one, except that under "reset" the step that closes an excursion is -2.
+An excursion opens at an attacker-only step i at lead 0 and closes at the
+first step j > i with W_j <= W_i, W the walk of +1 and -1 alone: a tie
+from lead 1, or a collapse from lead 2 that the -2 step lands at 0.  One
+stable sort of the levels of W finds the closes (the reflection holds a
+tie's -2 at 0).  The walk ends with one idle sentinel, the lead at the
 chunk's end.  Lead k of that walk holds for the rounds in (step k-1,
 step k], and the sentinel's for the rounds after the last step, so one
 ``np.bincount`` weighted by those run lengths gives the occupancy; a
@@ -61,8 +61,8 @@ chunk that ends on a step gives the sentinel no round, and its bin is
 dropped.  Paper revenue needs only four counts: honest-only steps at lead
 1 (the races), at lead 2 and at lead >= 3, and the races won.  Full
 accounting pays at excursion boundaries: an excursion opens at an
-attacker-only step at lead 0 and closes at an honest-only step at lead 1
-(a tie) or, under "reset", at lead 2.  Outside the excursions an
+attacker-only step at lead 0 and closes at the step that returns the lead
+to 0: a tie, or under "reset" a collapse.  Outside the excursions an
 honest-only step pays the honest side and a both-find round is a race.
 Step k is the i-th round where some side finds, so i - k both-find rounds
 precede it; read at the open, close and fork-start steps they count the
@@ -168,18 +168,18 @@ def _lead_before(up: np.ndarray, variant: str) -> np.ndarray:
 
     ``up`` marks the attacker-only steps; the others are honest-only.  The
     last entry is the lead an idle sentinel round after the last step starts at.
+    Both variants reflect one walk at 0 whose steps add +1 and -1, except that
+    under "reset" the step that closes an excursion adds -2.
     """
     m = len(up)
     lead = np.zeros(m + 1, dtype=np.int32)
-    walk = np.cumsum(up.view(np.int8) * 2 - 1, dtype=np.int32, out=lead[1:])  # W after each step
-    if variant == "decrement":
-        lead -= np.minimum.accumulate(lead)  # W reflected at 0: lead[0] = 0 opens the minimum
-    else:
-        # the attacker-only step i closes its excursion at the first step j > i
-        # with W_j <= W_i: step i + 1 if it is honest-only, else the next step at
-        # level W_i, which follows i in (level, index) order.  W spans at most
-        # m + 1 <= CHUNK_ROUNDS + 1 < 2**16 levels, so the stable sort of
-        # uint16 levels is a radix sort.
+    step = up.view(np.int8) * 2 - 1
+    walk = np.cumsum(step, dtype=np.int32, out=lead[1:])  # W after each step
+    if variant == "reset":
+        # the attacker-only step i at lead 0 opens an excursion that closes at the
+        # first step j > i with W_j <= W_i: step i + 1 if it is honest-only, else
+        # the next step at level W_i, which follows i in (level, index) order.  W
+        # spans m + 1 <= CHUNK_ROUNDS + 1 < 2**16 levels: the sort is a radix sort
         level = (walk - walk.min(initial=0)).astype(np.uint16)
         order = np.argsort(level, kind="stable")
         level = level[order]
@@ -190,16 +190,10 @@ def _lead_before(up: np.ndarray, variant: str) -> np.ndarray:
         starts = np.flatnonzero(up)  # candidate excursion starts
         ends = np.where(np.append(up[1:], True)[starts], successor[starts], starts + 1)
         # candidate intervals nest or are disjoint: a start is real past all earlier ends
-        opens = starts > np.concatenate(([-1], np.maximum.accumulate(ends)[:-1]))
-        starts, ends = starts[opens], ends[opens]
-        # W - W_i + 1 inside an excursion [i, j); outside, a baseline above every W
-        # makes the difference negative, and the clip at 0 gives lead 0
-        bounds = np.empty(2 * len(starts) + 2, dtype=np.intp)
-        bounds[0], bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = 0, starts, ends, m
-        baselines = np.full(len(bounds) - 1, m + 1, dtype=np.int32)
-        baselines[1::2] = walk[starts] - 1
-        walk -= np.repeat(baselines, np.diff(bounds))
-        np.maximum(walk, 0, out=walk)
+        closes = ends[starts > np.concatenate(([-1], np.maximum.accumulate(ends)[:-1]))]
+        step[closes[closes < m]] -= 1  # from lead 2 to 0; a tie from 1 is held at 0
+        np.cumsum(step, dtype=np.int32, out=walk)
+    lead -= np.minimum.accumulate(lead)  # reflected at 0: lead[0] = 0 opens the minimum
     return lead
 
 
@@ -243,6 +237,7 @@ def _chunk(a: np.ndarray, b: np.ndarray, draw: Callable[[int], np.ndarray],
     """
     up, runs = _steps(a, b)
     lead = _lead_before(up, variant)
+    after = lead[1:]  # the lead after each step
     if not runs[-1]:  # the chunk ends on a step: no round starts at the end lead
         lead, runs = lead[:-1], runs[:-1]
     occupancy = np.bincount(lead, runs).astype(np.int64)
@@ -254,19 +249,16 @@ def _chunk(a: np.ndarray, b: np.ndarray, draw: Callable[[int], np.ndarray],
         won = np.count_nonzero(draw(tied) < gamma)
         revenue_a, revenue_b = 2 * collapsed + shrunk + won, tied - won
     else:
-        # excursions open at an attacker-only step at lead 0 and close at a tie
-        # or, under "reset", at a collapse; opens and closes alternate
-        lead, down = lead[:len(up)], ~up
-        zero, tied, collapsed = lead == 0, down & (lead == 1), down & (lead == 2)
+        # excursions open at an attacker-only step at lead 0 and close where the
+        # lead returns to 0: at a tie or, under "reset", at a collapse
+        lead = lead[:len(up)]
+        zero = lead == 0
         opens = np.flatnonzero(up & zero)
-        if variant == "reset":
-            closes = np.flatnonzero(tied | collapsed)
-            begins = opens[:len(closes)]
-        else:  # the step before a tie brought the lead to 1, an open or a
-            # collapse, which pays 2 and restarts the fork: that step began it
-            closes = np.flatnonzero(tied)
-            begins = closes - 1
-        ties = tied[closes]
+        closes = np.flatnonzero(~zero & (after == 0))
+        ties = lead[closes] == 1
+        # under "decrement" the step before a tie brought the lead to 1, an open
+        # or a collapse, which pays 2 and restarts the fork: that step began it
+        begins = opens[:len(closes)] if variant == "reset" else closes - 1
         # both-find rounds before each open, close and fork start: step k is the
         # at[k]-th round where some side finds, and k of the rounds before it are
         # steps.  A chunk that ends at lead 0 ends as if an excursion opened there.
@@ -288,7 +280,7 @@ def _chunk(a: np.ndarray, b: np.ndarray, draw: Callable[[int], np.ndarray],
         size = 1 + (closes - begins - 2 + lead[closes]) // 2 + closed - begun
         paid = size[ties]
         revenue_a = race_won + paid[won].sum()
-        revenue_a += (2 * np.count_nonzero(collapsed) if variant == "decrement"
+        revenue_a += (2 * np.count_nonzero(~up & (lead == 2)) if variant == "decrement"
                       else size[~ties].sum())
         revenue_b = (np.count_nonzero(zero) - len(opens) + int(idle[-1]) - race_won
                      + paid[~won].sum())

@@ -181,6 +181,50 @@ def test_chunk_ending_on_a_step_to_a_new_top_lead(accounting, variant):
     assert fast[2][-1] == 1
 
 
+def _lead_loop(up, variant):
+    """The lead before each step, then at the end, one step at a time from lead 0."""
+    leads = [0]
+    for attacker in up:
+        lead = leads[-1]
+        if attacker:
+            leads.append(lead + 1)
+        elif lead == 2 and variant == "reset":
+            leads.append(0)  # the collapse publishes the whole private chain
+        else:
+            leads.append(max(lead - 1, 0))
+    return leads
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(steps=st.integers(0, 300), share=st.sampled_from([0.1, 0.3, 0.5, 0.6, 0.7]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lead_walk_matches_a_step_loop(steps, share, seed):
+    """Every lead of the walk, the end lead included, under both variants."""
+    up = np.random.default_rng(seed).random(steps) < share
+    for variant in ("decrement", "reset"):
+        assert _lead_before(up, variant).tolist() == _lead_loop(up, variant)
+    # under reset the lead reaches 1 from 0 alone, never from 2, so a collapse
+    # is a down step of 2 and the walk stays one reflected sum
+    lead = np.array(_lead_loop(up, "reset"))
+    assert np.all(lead[:-1][lead[1:] == 1] == 0)
+
+
+@pytest.mark.parametrize("steps,decrement,reset", [
+    ("", [0], [0]),
+    ("uuu", [0, 1, 2, 3], [0, 1, 2, 3]),
+    ("ddd", [0, 0, 0, 0], [0, 0, 0, 0]),
+    ("uudu", [0, 1, 2, 1, 2], [0, 1, 2, 0, 1]),  # ends inside an excursion at lead 1
+    ("uuduu", [0, 1, 2, 1, 2, 3], [0, 1, 2, 0, 1, 2]),  # and at lead 2
+    ("uuudd", [0, 1, 2, 3, 2, 1], [0, 1, 2, 3, 2, 0]),  # a collapse on the last step
+    ("uuuuddddu", [0, 1, 2, 3, 4, 3, 2, 1, 0, 1], [0, 1, 2, 3, 4, 3, 2, 0, 0, 1]),
+])
+def test_lead_walk_on_hand_picked_steps(steps, decrement, reset):
+    up = np.array([step == "u" for step in steps], dtype=bool)
+    for variant, leads in (("decrement", decrement), ("reset", reset)):
+        assert _lead_loop(up, variant) == leads
+        assert _lead_before(up, variant).tolist() == leads
+
+
 # distinct race uniforms that alternate below and above gamma = 0.5, so any
 # reordering of two races that pay different amounts changes a revenue
 RACE_UNIFORMS = [(k + 0.5) / 12 for k in (0, 11, 1, 10, 2, 9, 3, 8, 4, 7, 5, 6)]
