@@ -37,8 +37,11 @@ fix        alpha,multiplier,lambda_before,gamma_before,ratio_before,
 Exit codes: 0 success, 2 invalid arguments or parameters, 3 model error
 (divergent lead), 4 verification failure.
 
-A call builds only the parser of the subcommand its first argument names;
-``--help``, ``--version`` and an argv that names no subcommand build all six.
+An argv whose first argument names a subcommand is parsed by that
+subcommand's parser alone.  Everything else (no arguments, ``--help``,
+``--version``, an unknown subcommand, ``--``, and any argument the
+subcommand's parser leaves over) goes to the top-level parser with all six,
+which prints the top-level usage lines and errors.
 """
 
 from __future__ import annotations
@@ -506,33 +509,41 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with ``command``'s subparser only, or all six if it names none."""
+def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
+    """Add the arguments and the handler of subcommand ``name`` to ``parser``."""
+    _, handler, add_args = _COMMANDS[name]
+    add_args(parser)
+    _add_output_args(parser)
+    parser.set_defaults(handler=handler)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with all six subcommands."""
     parser = argparse.ArgumentParser(
         prog="selfishlab",
         description="Block-withholding attack analysis for a tenure-based "
                     "bilayer Nakamoto consensus protocol.")
     parser.add_argument("--version", action="version", version=f"selfishlab {__version__}")
-    names = [command] if command in _COMMANDS else list(_COMMANDS)
-    # one subparser still shows all six in usage lines; six leave it unset, so the
-    # invalid-choice and missing-command errors keep naming "argument command"
-    metavar = "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None
-    commands = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        help_text, handler, add_args = _COMMANDS[name]
-        sub = commands.add_parser(name, help=help_text)
-        add_args(sub)
-        _add_output_args(sub)
-        sub.set_defaults(handler=handler)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(commands.add_parser(name, help=help_text), name)
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv, execute one subcommand, and return the exit code."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = _build_parser(argv[0] if argv else None)
+    name = argv[0] if argv else None
     try:
-        args = parser.parse_args(argv)
+        args, rest = None, argv
+        if name in _COMMANDS:
+            # the same parser, with the same prog, as the top-level parser's subparser
+            parser = argparse.ArgumentParser(prog=f"selfishlab {name}")
+            _add_command(parser, name)
+            args, rest = parser.parse_known_args(argv[1:])
+            args.command = name
+        if args is None or rest:
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage/help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -438,29 +439,61 @@ WELL_FORMED = {
 
 @pytest.mark.parametrize("name", WELL_FORMED)
 def test_one_command_parser_matches_the_full_parser(capsys, name):
-    # run builds only the named command's parser; its help, usage lines and
-    # parse errors must read as the full parser's (the golden file pins no stderr)
-    one, full = _build_parser(name), _build_parser()
-
-    def subparser(parser):
-        return next(action for action in parser._actions if action.dest == "command").choices[name]
-
-    assert subparser(one).format_help() == subparser(full).format_help()
-    assert one.format_usage() == full.format_usage()
+    # run parses a named command with that command's parser alone and hands
+    # what it leaves over to the full parser; help, usage lines and parse
+    # errors must read as the full parser's (the golden file pins no stderr)
+    full = _build_parser()
+    subparser = next(action for action in full._actions if action.dest == "command").choices[name]
+    assert run([name, "-h"]) == 0
+    assert capsys.readouterr().out == subparser.format_help()
     tail = WELL_FORMED[name]
+    assert run([name, *tail, "extra"]) == 2
+    assert capsys.readouterr().err.startswith(full.format_usage())
     malformed = [
         tail + ["--bogus", "1"],                    # unknown option
         tail + ["extra"],                           # extra positional
         tail + ["--format", "xml"],                 # bad choice
         [tail[0], "x", *tail[2:]],                  # not a number
         tail[2:] if name != "verify" else ["--seed"],   # missing required option or value
+        tail + ["--version"],                       # the top-level option after the command
+        tail + ["--", "extra"],                     # a positional after --
+        tail + ["--v"],                             # an abbreviation of --version
+        tail + ["-h"],                              # help after valid arguments
     ]
     for argv in ([name, *rest] for rest in malformed):
         code = run(argv)
         got = capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             full.parse_args(argv)
-        assert (code, got.out, got.err) == (exc.value.code, "", capsys.readouterr().err), argv
+        expected = capsys.readouterr()
+        assert (code, got.out, got.err) == (exc.value.code, expected.out, expected.err), argv
+
+
+@pytest.mark.parametrize("name", WELL_FORMED)
+def test_a_named_command_parses_without_the_full_parser(capsys, monkeypatch, name):
+    import selfishlab.cli as cli
+
+    # verify --cases 0 exits 2 from its handler, so no simulation runs
+    argv = [name, *(WELL_FORMED[name] if name != "verify" else ["--cases", "0"])]
+    parsed = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def spy(parser, *args, **kwargs):
+        result = parse_known_args(parser, *args, **kwargs)
+        parsed.append(result[0])
+        return result
+
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        patch.setattr(cli, "_build_parser", refuse)
+        assert run(argv) == (2 if name == "verify" else 0)
+    capsys.readouterr()
+    expected = _build_parser().parse_args(argv)
+    assert vars(parsed[0]) == vars(expected)
+    assert parsed[0].handler is expected.handler
 
 
 @pytest.mark.parametrize("argv", [
