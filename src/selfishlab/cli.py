@@ -37,11 +37,11 @@ fix        alpha,multiplier,lambda_before,gamma_before,ratio_before,
 Exit codes: 0 success, 2 invalid arguments or parameters, 3 model error
 (divergent lead), 4 verification failure.
 
-An argv whose first argument names a subcommand is parsed by that
-subcommand's parser alone.  Everything else (no arguments, ``--help``,
-``--version``, an unknown subcommand, ``--``, and any argument the
-subcommand's parser leaves over) goes to the top-level parser with all six,
-which prints the top-level usage lines and errors.
+Each subcommand's arguments live only in its own parser, which parses an
+argv whose first argument names that subcommand.  The top-level parser
+lists the six by name and help alone; it prints top-level help,
+``--version``, and the usage errors of an argv whose first argument is no
+subcommand and of any argument a subcommand's parser leaves over.
 """
 
 from __future__ import annotations
@@ -509,16 +509,8 @@ _COMMANDS = {
 }
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> None:
-    """Add the arguments and the handler of subcommand ``name`` to ``parser``."""
-    _, handler, add_args = _COMMANDS[name]
-    add_args(parser)
-    _add_output_args(parser)
-    parser.set_defaults(handler=handler)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    """The top-level parser with all six subcommands."""
+    """The top-level parser: ``--version`` and the six subcommands by name and help only."""
     parser = argparse.ArgumentParser(
         prog="selfishlab",
         description="Block-withholding attack analysis for a tenure-based "
@@ -526,7 +518,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"selfishlab {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, _) in _COMMANDS.items():
-        _add_command(commands.add_parser(name, help=help_text), name)
+        commands.add_parser(name, help=help_text)
     return parser
 
 
@@ -535,20 +527,23 @@ def run(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     name = argv[0] if argv else None
     try:
-        args, rest = None, argv
-        if name in _COMMANDS:
-            # the same parser, with the same prog, as the top-level parser's subparser
-            parser = argparse.ArgumentParser(prog=f"selfishlab {name}")
-            _add_command(parser, name)
-            args, rest = parser.parse_known_args(argv[1:])
-            args.command = name
-        if args is None or rest:
-            args = _build_parser().parse_args(argv)
+        if name not in _COMMANDS:
+            parser = _build_parser()
+            parser.parse_args(argv)  # exits with help, the version or a usage error
+            parser.error("the command must be the first argument")
+        _, handler, add_args = _COMMANDS[name]
+        # the same prog as the top-level parser's subparser
+        parser = argparse.ArgumentParser(prog=f"selfishlab {name}")
+        add_args(parser)
+        _add_output_args(parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if rest:
+            _build_parser().error(f"unrecognized arguments: {' '.join(rest)}")
     except SystemExit as exc:  # argparse already printed usage/help
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
 
     try:
-        inputs, results, rows, code = args.handler(args)
+        inputs, results, rows, code = handler(args)
     except (InvalidParam, InvalidConfig) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -556,7 +551,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
 
-    text = _render(args.command, inputs, results, rows, args.format)
+    text = _render(name, inputs, results, rows, args.format)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:

@@ -66,11 +66,11 @@ to 0: a tie, or under "reset" a collapse.  Outside the excursions an
 honest-only step pays the honest side and a both-find round is a race.
 Step k is the i-th round where some side finds, so i - k both-find rounds
 precede it; read at the open, close and fork-start steps they count the
-races, and the races before open t precede the tie at close t.  A fork
-starts at step k, an open or, under "decrement", the step before a tie;
-closed at step j it holds 1 + u + c private and d + 1 + c public blocks,
-where c both-find rounds and u up and d down steps lie between them, with
-u + d = j - k - 1 and u - d = L_j - 1, L_j the lead before j.
+races, and the races before open t precede the tie at close t.  A tie's
+fork starts at the step before it, a reset collapse's at its open; from step
+k to its close at step j a fork holds 1 + u + c private and d + 1 + c public
+blocks, where c both-find rounds and u up and d down steps lie between them,
+with u + d = j - k - 1 and u - d = L_j - 1, L_j the lead before j.
 ``tests/chunk_reference.py`` keeps the per-round loop that pins it.
 
 Determinism contract
@@ -256,9 +256,9 @@ def _chunk(a: np.ndarray, b: np.ndarray, draw: Callable[[int], np.ndarray],
         opens = np.flatnonzero(up & zero)
         closes = np.flatnonzero(~zero & (after == 0))
         ties = lead[closes] == 1
-        # under "decrement" the step before a tie brought the lead to 1, an open
-        # or a collapse, which pays 2 and restarts the fork: that step began it
-        begins = opens[:len(closes)] if variant == "reset" else closes - 1
+        # a tie's fork began at the step before it, which brought the lead to 1: an
+        # open, or a decrement collapse that paid 2; a reset collapse's at its open
+        begins = np.where(ties, closes - 1, opens[:len(closes)])
         # both-find rounds before each open, close and fork start: step k is the
         # at[k]-th round where some side finds, and k of the rounds before it are
         # steps.  A chunk that ends at lead 0 ends as if an excursion opened there.

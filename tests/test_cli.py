@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from selfishlab import MiningParams, SimConfig, __version__, is_profitable, simulate
-from selfishlab.cli import VERIFY_MAX_SEED, _build_parser, _simulation_gap, run
+from selfishlab.cli import (_COMMANDS, VERIFY_MAX_SEED, _add_output_args, _simulation_gap,
+                            run)
 from selfishlab.markov import q_at, stationary, stationary_truncated_oracle
 from selfishlab.probmodel import TransitionProbs
 from selfishlab.simulator import CHUNK_ROUNDS
@@ -423,7 +425,39 @@ def test_usage_errors(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
-    capsys.readouterr()
+    commands = re.findall(r"^    (\w+) ", capsys.readouterr().out, re.MULTILINE)
+    assert commands == list(_COMMANDS)
+
+
+def _full_parser():
+    """The top-level parser with every command's arguments in its subparser.
+
+    The CLI builds each command's arguments only into the parser of the
+    command it runs; this tree is the reference its help, usage lines,
+    parse errors and parsed namespaces must read as.
+    """
+    parser = argparse.ArgumentParser(
+        prog="selfishlab",
+        description="Block-withholding attack analysis for a tenure-based "
+                    "bilayer Nakamoto consensus protocol.")
+    parser.add_argument("--version", action="version", version=f"selfishlab {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, add_args) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        add_args(sub)
+        _add_output_args(sub)
+        sub.set_defaults(handler=handler)
+    return parser
+
+
+def _run_and_reference(capsys, argv):
+    """(code, stdout, stderr) of run(argv), then of the full parser on argv."""
+    code = run(argv)
+    got = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        _full_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    return (code, got.out, got.err), (exc.value.code, expected.out, expected.err)
 
 
 # a well-formed argv tail per command, whose first option takes the value after it
@@ -439,10 +473,10 @@ WELL_FORMED = {
 
 @pytest.mark.parametrize("name", WELL_FORMED)
 def test_one_command_parser_matches_the_full_parser(capsys, name):
-    # run parses a named command with that command's parser alone and hands
-    # what it leaves over to the full parser; help, usage lines and parse
+    # run parses a named command with that command's parser alone and reports
+    # what it leaves over with the top-level parser; help, usage lines and parse
     # errors must read as the full parser's (the golden file pins no stderr)
-    full = _build_parser()
+    full = _full_parser()
     subparser = next(action for action in full._actions if action.dest == "command").choices[name]
     assert run([name, "-h"]) == 0
     assert capsys.readouterr().out == subparser.format_help()
@@ -461,12 +495,8 @@ def test_one_command_parser_matches_the_full_parser(capsys, name):
         tail + ["-h"],                              # help after valid arguments
     ]
     for argv in ([name, *rest] for rest in malformed):
-        code = run(argv)
-        got = capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            full.parse_args(argv)
-        expected = capsys.readouterr()
-        assert (code, got.out, got.err) == (exc.value.code, expected.out, expected.err), argv
+        got, expected = _run_and_reference(capsys, argv)
+        assert got == expected, argv
 
 
 @pytest.mark.parametrize("name", WELL_FORMED)
@@ -475,25 +505,72 @@ def test_a_named_command_parses_without_the_full_parser(capsys, monkeypatch, nam
 
     # verify --cases 0 exits 2 from its handler, so no simulation runs
     argv = [name, *(WELL_FORMED[name] if name != "verify" else ["--cases", "0"])]
-    parsed = []
+    parsed, handled = [], []
     parse_known_args = argparse.ArgumentParser.parse_known_args
+    help_text, handler, add_args = cli._COMMANDS[name]
 
     def spy(parser, *args, **kwargs):
         result = parse_known_args(parser, *args, **kwargs)
         parsed.append(result[0])
         return result
 
+    def handle(args):
+        handled.append(args)
+        return handler(args)
+
     def refuse():
-        raise AssertionError("the full parser was built")
+        raise AssertionError("the top-level parser was built")
 
     with monkeypatch.context() as patch:
         patch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
         patch.setattr(cli, "_build_parser", refuse)
+        patch.setitem(cli._COMMANDS, name, (help_text, handle, add_args))
         assert run(argv) == (2 if name == "verify" else 0)
     capsys.readouterr()
-    expected = _build_parser().parse_args(argv)
-    assert vars(parsed[0]) == vars(expected)
-    assert parsed[0].handler is expected.handler
+    assert handled == parsed
+    expected = vars(_full_parser().parse_args(argv))
+    assert expected.pop("handler") is handler
+    assert expected.pop("command") == name
+    assert vars(parsed[0]) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["--version"], ["--vers"], ["--v"], ["--he"], ["bogus"],
+    ["-x"], ["--format", "json"], ["bogus", "--alpha", "0.3"],
+])
+def test_an_argv_that_names_no_command_first_reads_as_the_full_parsers(capsys, argv):
+    got, expected = _run_and_reference(capsys, argv)
+    assert got == expected
+
+
+@pytest.mark.parametrize("name", WELL_FORMED)
+def test_an_option_or_separator_before_the_command_is_a_top_level_usage_error(capsys, name):
+    # after an unknown option before the command, the error names what the
+    # help-only subparser leaves over too, so only the usage line is pinned
+    for argv in (["-x", name, *WELL_FORMED[name]], ["--", name], ["--", name, *WELL_FORMED[name]]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(_full_parser().format_usage()), argv
+
+
+def test_a_top_level_parse_that_returns_ends_in_a_usage_error(capsys, monkeypatch):
+    import selfishlab.cli as cli
+
+    # an argparse that drops a leading -- would parse ["--", "verify"] as verify
+    # with no arguments; run must still end in the top-level error, not a handler
+    def refuse(args):
+        raise AssertionError("a handler ran")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda parser, argv: argparse.Namespace(command=argv[-1]))
+    for name, (help_text, _, add_args) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, refuse, add_args))
+    assert run(["--", "verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (_full_parser().format_usage()
+                            + "selfishlab: error: the command must be the first argument\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -299,8 +299,9 @@ def test_simulate_one_round_past_a_chunk_matches_loop(accounting, variant):
 def test_the_step_before_a_tie_began_its_fork(codes):
     """A tie, an honest-only step at lead 1, follows an open (attacker-only at
     lead 0) or, under decrement only, a collapse (honest-only at lead 2), so it
-    is never a chunk's first step.  The full ledger's decrement fork starts rest
-    on this, which holds only for a chunk that opens at lead 0."""
+    is never a chunk's first step.  The full ledger starts a tie's fork at the
+    step before it under both variants, which holds only for a chunk that opens
+    at lead 0."""
     up = codes[(codes == 1) | (codes == 2)] == 2
     for variant in ("decrement", "reset"):
         lead = _lead_before(up, variant)[:len(up)]
