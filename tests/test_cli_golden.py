@@ -52,6 +52,9 @@ FORMATS = ("human", "json", "csv")
 JSON_COMMANDS = [
     "threshold --lambda 30 --gamma 0 --tol 1e-8",
     "threshold --lambda 30 --gamma 0 --tol 1e-3",
+    # near the break-even share most down steps fall from a lead of 2 or more
+    "simulate --alpha 0.48 --lambda 0.5 --gamma 0.5 --rounds 120000 --seed 7 "
+    "--accounting full --variant reset",
 ]
 
 
