@@ -48,12 +48,14 @@ exactly one side finds, moves the lead: idle and both-find rounds keep it.
 ``_steps`` keeps the step rounds and the run lengths between them, and
 ``_lead_before`` walks the steps alone: the lead is the walk cumsum(x)
 reflected at 0, x = +1 on an attacker-only step and -1 on an honest-only
-one, except that under "reset" the step that closes an excursion is -2.
-An excursion opens at an attacker-only step i at lead 0 and closes at the
-first step j > i with W_j <= W_i, W the walk of +1 and -1 alone: a tie
-from lead 1, or a collapse from lead 2 that the -2 step lands at 0.  One
-stable sort of the levels of W finds the closes (the reflection holds a
-tie's -2 at 0).  The walk ends with one idle sentinel, the lead at the
+one, except that under "reset" a collapse is -2.  An excursion opens at an
+attacker-only step i at lead 0 and closes at the first step j > i with
+W_j <= W_i, W the walk of +1 and -1 alone: a tie from lead 1, which the
+reflection takes to 0, or a collapse from lead 2 that the -2 step lands at
+0.  Only an excursion that opens with two up steps, a *climb*, collapses,
+at a down step from decrement lead (W less its running minimum) >= 2: one
+stable sort of the levels of W over the climbs and those down steps finds
+the collapses.  The walk ends with one idle sentinel, the lead at the
 chunk's end.  Lead k of that walk holds for the rounds in (step k-1,
 step k], and the sentinel's for the rounds after the last step, so one
 ``np.bincount`` weighted by those run lengths gives the occupancy; a
@@ -169,29 +171,37 @@ def _lead_before(up: np.ndarray, variant: str) -> np.ndarray:
     ``up`` marks the attacker-only steps; the others are honest-only.  The
     last entry is the lead an idle sentinel round after the last step starts at.
     Both variants reflect one walk at 0 whose steps add +1 and -1, except that
-    under "reset" the step that closes an excursion adds -2.
+    under "reset" a collapse, the down step from lead 2, adds -2.
     """
     m = len(up)
     lead = np.zeros(m + 1, dtype=np.int32)
     step = up.view(np.int8) * 2 - 1
     walk = np.cumsum(step, dtype=np.int32, out=lead[1:])  # W after each step
     if variant == "reset":
-        # the attacker-only step i at lead 0 opens an excursion that closes at the
-        # first step j > i with W_j <= W_i: step i + 1 if it is honest-only, else
-        # the next step at level W_i, which follows i in (level, index) order.  W
-        # spans m + 1 <= CHUNK_ROUNDS + 1 < 2**16 levels: the sort is a radix sort
-        level = (walk - walk.min(initial=0)).astype(np.uint16)
+        # an excursion that collapses opens at a climb s, the first up step of a run
+        # of two or more, and collapses at the first later step back at level W_s: a
+        # down step from decrement lead >= 2, the next such step or climb at W_s in
+        # (level, index) order.  The reflection takes a tie from lead 1 to 0.  W spans
+        # m + 1 <= CHUNK_ROUNDS + 1 < 2**16 levels: the sort is a radix sort
+        climb = up[:-1] & up[1:]
+        climb[1:] &= ~up[:-2]
+        kept = lead[:m] - np.minimum.accumulate(lead[:m]) >= 2  # decrement lead >= 2
+        kept &= ~up
+        kept[:-1] |= climb
+        kept = np.flatnonzero(kept)
+        level = walk[kept]
+        level = (level - level.min(initial=0)).astype(np.uint16)
         order = np.argsort(level, kind="stable")
         level = level[order]
-        # the next step at each step's level, m where none follows
-        successor = np.full(m, m, dtype=np.int32)
+        # the next kept step at each kept step's level, m where none follows
+        successor = np.full(len(kept), m, dtype=kept.dtype)
         same = np.flatnonzero(level[1:] == level[:-1])
-        successor[order[same]] = order[same + 1]
-        starts = np.flatnonzero(up)  # candidate excursion starts
-        ends = np.where(np.append(up[1:], True)[starts], successor[starts], starts + 1)
-        # candidate intervals nest or are disjoint: a start is real past all earlier ends
-        closes = ends[starts > np.concatenate(([-1], np.maximum.accumulate(ends)[:-1]))]
-        step[closes[closes < m]] -= 1  # from lead 2 to 0; a tie from 1 is held at 0
+        successor[order[same]] = kept[order[same + 1]]
+        climbs = np.flatnonzero(up[kept])
+        ends = successor[climbs]
+        # climbs nest or are disjoint: a climb is real past all earlier ends
+        closes = ends[kept[climbs] > np.concatenate(([-1], np.maximum.accumulate(ends)[:-1]))]
+        step[closes[closes < m]] -= 1  # a collapse from lead 2 to 0
         np.cumsum(step, dtype=np.int32, out=walk)
     lead -= np.minimum.accumulate(lead)  # reflected at 0: lead[0] = 0 opens the minimum
     return lead
@@ -249,12 +259,13 @@ def _chunk(a: np.ndarray, b: np.ndarray, draw: Callable[[int], np.ndarray],
         won = np.count_nonzero(draw(tied) < gamma)
         revenue_a, revenue_b = 2 * collapsed + shrunk + won, tied - won
     else:
-        # excursions open at an attacker-only step at lead 0 and close where the
-        # lead returns to 0: at a tie or, under "reset", at a collapse
+        # excursions open where the lead leaves 0 and close where it returns, at a
+        # tie or, under "reset", at a collapse: the chunk opens at lead 0, so the
+        # steps that change whether the lead is 0 alternate between the two
         lead = lead[:len(up)]
         zero = lead == 0
-        opens = np.flatnonzero(up & zero)
-        closes = np.flatnonzero(~zero & (after == 0))
+        flips = np.flatnonzero(zero != (after == 0))
+        opens, closes = flips[::2], flips[1::2]
         ties = lead[closes] == 1
         # a tie's fork began at the step before it, which brought the lead to 1: an
         # open, or a decrement collapse that paid 2; a reset collapse's at its open
@@ -269,21 +280,21 @@ def _chunk(a: np.ndarray, b: np.ndarray, draw: Callable[[int], np.ndarray],
         del at, runs  # freed before the race uniforms are drawn
         opened[1:] -= closed
         idle = np.cumsum(opened)  # lead-0 races before each open
-        # the lead-0 races before open t come before close t, so a tie at close
-        # t reads uniform idle[t] + (ties up to t) - 1
-        wins = draw(int(idle[-1]) + np.count_nonzero(ties)) < gamma
-        won = wins[idle[:-1][ties] + np.cumsum(ties)[ties] - 1]
+        # the lead-0 races before open t come before close t, so the i-th tie, at
+        # close t, reads uniform idle[t] + i
+        tied = np.flatnonzero(ties)
+        wins = draw(int(idle[-1]) + len(tied)) < gamma
+        won = wins[idle[tied] + np.arange(len(tied))]
         race_won = np.count_nonzero(wins) - np.count_nonzero(won)
         # the fork from step k to close j holds 1 + ups + both-finds private and
         # downs + 1 + both-finds public blocks, where ups + downs = j - k - 1 and
         # ups - downs = lead[j] - 1: equal sizes at a tie
         size = 1 + (closes - begins - 2 + lead[closes]) // 2 + closed - begun
-        paid = size[ties]
-        revenue_a = race_won + paid[won].sum()
+        paid = size[tied]
+        revenue_a = race_won + paid[won].sum()  # the honest side wins the other races
+        revenue_b = np.count_nonzero(zero) - len(opens) + int(idle[-1]) + paid.sum() - revenue_a
         revenue_a += (2 * np.count_nonzero(~up & (lead == 2)) if variant == "decrement"
-                      else size[~ties].sum())
-        revenue_b = (np.count_nonzero(zero) - len(opens) + int(idle[-1]) - race_won
-                     + paid[~won].sum())
+                      else size.sum() - paid.sum())
     return float(revenue_a), float(revenue_b), occupancy
 
 

@@ -209,6 +209,13 @@ def test_lead_walk_matches_a_step_loop(steps, share, seed):
     assert np.all(lead[:-1][lead[1:] == 1] == 0)
 
 
+@pytest.mark.parametrize("share", [0.45, 0.5, 0.55])
+def test_reset_walk_matches_a_step_loop_on_a_whole_chunk(share):
+    """Whole-chunk walks near a fair coin, whose excursions span thousands of levels."""
+    up = np.random.default_rng(7).random(CHUNK_ROUNDS) < share
+    assert _lead_before(up, "reset").tolist() == _lead_loop(up, "reset")
+
+
 @pytest.mark.parametrize("steps,decrement,reset", [
     ("", [0], [0]),
     ("uuu", [0, 1, 2, 3], [0, 1, 2, 3]),
@@ -217,6 +224,11 @@ def test_lead_walk_matches_a_step_loop(steps, share, seed):
     ("uuduu", [0, 1, 2, 1, 2, 3], [0, 1, 2, 0, 1, 2]),  # and at lead 2
     ("uuudd", [0, 1, 2, 3, 2, 1], [0, 1, 2, 3, 2, 0]),  # a collapse on the last step
     ("uuuuddddu", [0, 1, 2, 3, 4, 3, 2, 1, 0, 1], [0, 1, 2, 3, 4, 3, 2, 0, 0, 1]),
+    ("uudud", [0, 1, 2, 1, 2, 1], [0, 1, 2, 0, 1, 0]),  # a tie right after a collapse
+    # a climb at lead 0 while the decrement lead is 1
+    ("duuduud", [0, 0, 1, 2, 1, 2, 3, 2], [0, 0, 1, 2, 0, 1, 2, 0]),
+    # a lone up step inside an excursion, which is not a climb
+    ("uuuudduddd", [0, 1, 2, 3, 4, 3, 2, 3, 2, 1, 0], [0, 1, 2, 3, 4, 3, 2, 3, 2, 0, 0]),
 ])
 def test_lead_walk_on_hand_picked_steps(steps, decrement, reset):
     up = np.array([step == "u" for step in steps], dtype=bool)
