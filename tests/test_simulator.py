@@ -211,7 +211,7 @@ def test_lead_walk_matches_a_step_loop(steps, share, seed):
 
 @pytest.mark.parametrize("share", [0.45, 0.5, 0.55])
 def test_reset_walk_matches_a_step_loop_on_a_whole_chunk(share):
-    """Whole-chunk walks near a fair coin, whose excursions span thousands of levels."""
+    """Whole-chunk walks near a fair coin: at share 0.55 an excursion spans thousands of levels."""
     up = np.random.default_rng(7).random(CHUNK_ROUNDS) < share
     assert _lead_before(up, "reset").tolist() == _lead_loop(up, "reset")
 
