@@ -6,8 +6,8 @@ analyze    closed-form lead distribution, revenue rates, and verdict
 simulate   seeded Monte Carlo run of the lead state machine
 threshold  smallest profitable attacker share for a fixed intensity
 sweep      threshold table over a tenure x difficulty grid
-verify     self-check suites (closed form vs truncated-chain oracle,
-           simulation vs closed form)
+verify     self-check suites (the lead law analyze prints vs the
+           truncated-chain oracle, simulation vs closed form)
 fix        before/after comparison of the multi-header mitigation
 
 Mining parameters are given either directly (``--alpha``, ``--lambda``,
@@ -58,8 +58,9 @@ import numpy as np
 
 from . import __version__
 from .errors import DivergentLead, InvalidConfig, InvalidParam
-from .markov import StationaryDist, is_profitable, q_at, stationary, stationary_truncated_oracle
-from .probmodel import MiningParams, TransitionProbs, apply_fix, lambda_from_protocol
+from .markov import StationaryDist, is_profitable, q_at, stationary_truncated_oracle
+from .probmodel import (MiningParams, apply_fix, derive_transition_probs, lambda_from_protocol,
+                        lead_ratio)
 from .simulator import ACCOUNTING_MODES, CHUNK_ROUNDS, VARIANTS, SimConfig, simulate
 from .sweep import profit_threshold, resistance_sweep
 
@@ -73,6 +74,7 @@ EXIT_VERIFY = 4
 VERIFY_DEFAULT_CASES = 1000
 VERIFY_DEFAULT_SEED = 1234
 VERIFY_ORACLE_TOL = 1e-10
+VERIFY_ORACLE_RHO_MAX = 0.9  # the oracle truncates the chain; this keeps K <= 285 under its cap
 VERIFY_MC_ROUNDS = 1_000_000
 VERIFY_MAX_ABS_Z = 4.0
 VERIFY_MAX_OCC_LINF = 0.008
@@ -248,16 +250,6 @@ def _cmd_fix(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
 # ---------------------------------------------------------------------------
 # verify suites
 
-def _random_transition_probs(rng: np.random.Generator,
-                             rho_max: float = 0.9) -> TransitionProbs:
-    rho = rng.uniform(0.0, rho_max)
-    # p2 + p3 = p3 * (1 + rho) must leave room for p1
-    p3 = rng.uniform(0.05, min(0.95, 1.0 / (1.0 + rho)))
-    p2 = rho * p3
-    p1 = rng.uniform(0.0, 1.0 - p2 - p3)
-    return TransitionProbs(p0=rng.uniform(0.0, 1.0), p1=p1, p2=p2, p3=p3)
-
-
 def _oracle_states(rho: float) -> int:
     """Truncation K, from 8 to 400, at which the geometric tail rho**K is below 1e-13."""
     return min(400, max(8, math.ceil(math.log(1e-13) / math.log(rho)))) if rho > 1e-6 else 8
@@ -269,22 +261,26 @@ def _lead_mass_gap(masses: Sequence[float], dist: StationaryDist) -> float:
 
 
 def _oracle_suite(cases: int, seed: int) -> dict[str, Any]:
-    """Closed-form stationary masses vs the truncated-chain oracle.
+    """The lead masses ``analyze`` prints vs the truncated-chain oracle.
 
-    ``worst_case`` gives p0..p3 and K of the case with the largest error.
+    Each case draws alpha ~ U(0, 1/2) and lambda log-uniform on [1e-12, 1e3],
+    redrawn while rho > ``VERIFY_ORACLE_RHO_MAX``.  ``worst_case`` is the
+    ``analyze`` argv of the case with the largest error.
     """
     rng = np.random.default_rng(seed)
     checks = []
-    for _ in range(cases):
-        probs = _random_transition_probs(rng)
-        dist = stationary(probs)
-        K = _oracle_states(dist.rho)
-        checks.append((_lead_mass_gap(stationary_truncated_oracle(probs, K), dist), probs, K))
-    worst, probs, K = max(checks, key=lambda check: check[0])
+    while len(checks) < cases:
+        alpha, lam = 0.5 * (1.0 - rng.random()), 10.0 ** rng.uniform(-12.0, 3.0)
+        rho = lead_ratio(alpha, lam)
+        if alpha < 0.5 and rho <= VERIFY_ORACLE_RHO_MAX:
+            case = MiningParams(alpha=alpha, lam=lam)
+            vector = stationary_truncated_oracle(derive_transition_probs(case), _oracle_states(rho))
+            checks.append((_lead_mass_gap(vector, is_profitable(case).dist), alpha, lam))
+    worst, alpha, lam = max(checks, key=lambda check: check[0])
     return {"suite": "stationary-oracle", "cases": cases,
             "failures": sum(linf > VERIFY_ORACLE_TOL for linf, _, _ in checks),
             "worst": worst,
-            "worst_case": f"p0={probs.p0!r} p1={probs.p1!r} p2={probs.p2!r} p3={probs.p3!r} K={K}",
+            "worst_case": f"analyze --alpha {alpha!r} --lambda {lam!r}",
             "tolerance": VERIFY_ORACLE_TOL}
 
 

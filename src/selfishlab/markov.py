@@ -36,11 +36,11 @@ nonzero threshold needs gamma = 0 (below ``ALPHA_GUARD``) and a lambda
 above lambda_c ~ 1.2564, the root of e**lambda - 1 = 2*lambda, where the
 small-attacker share 2*alpha*lambda/(e**lambda - 1) drops below alpha.
 
-``stationary_truncated_oracle`` is an independent numerical check: it
+The law is written once, for ``stationary`` and ``is_profitable`` alike.
+``stationary_truncated_oracle`` checks it without reusing its algebra: it
 builds the rate matrix of the chain truncated at state K and solves its
 balance equations, with one replaced by the normalization, in a single
-linear solve, so the closed forms above can be validated without reusing
-their algebra.
+linear solve.  ``verify`` compares it with the law ``analyze`` prints.
 """
 
 from __future__ import annotations
@@ -107,6 +107,11 @@ def _require_recurrent(probs: TransitionProbs) -> None:
             "attacker majority, no stationary lead distribution")
 
 
+def _lead_law(rho: float, opening: float) -> StationaryDist:
+    q0 = (1.0 - rho) / ((1.0 - rho) + opening)  # opening = p0/p3; 1 - rho normalizes the tail
+    return StationaryDist(q0=q0, q1=opening * q0, rho=rho)
+
+
 def stationary(probs: TransitionProbs) -> StationaryDist:
     """Solve the balance equations of the lead chain.
 
@@ -114,9 +119,7 @@ def stationary(probs: TransitionProbs) -> StationaryDist:
     DivergentLead when p2 >= p3.
     """
     _require_recurrent(probs)
-    rho, opening = probs.p2 / probs.p3, probs.p0 / probs.p3
-    q0 = (1.0 - rho) / ((1.0 - rho) + opening)  # the 1 - rho that normalizes the tail
-    return StationaryDist(q0=q0, q1=opening * q0, rho=rho)
+    return _lead_law(probs.p2 / probs.p3, probs.p0 / probs.p3)
 
 
 def q_at(dist: StationaryDist, k: int) -> float:
@@ -178,7 +181,7 @@ def is_profitable(params: MiningParams) -> RevenueReport:
                             f"lam={params.lam!r}: no stationary lead distribution in "
                             "floating point")
     ratio = revenue_ratio(rho, params.gamma)
-    dist = StationaryDist(q0=1.0 - rho, q1=rho * (1.0 - rho), rho=rho)
+    dist = _lead_law(rho, rho)  # (1 - rho) + rho rounds to 1, so q0 = 1 - rho exactly
     r_a, r_b = revenue_rates(dist, derive_transition_probs(params), params.gamma)
     return RevenueReport(r_a=r_a, r_b=r_b, ratio=ratio, profitable=ratio > params.alpha,
                          dist=dist)

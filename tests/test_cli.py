@@ -12,10 +12,10 @@ from pathlib import Path
 import pytest
 
 from selfishlab import MiningParams, SimConfig, __version__, is_profitable, simulate
-from selfishlab.cli import (_COMMANDS, VERIFY_MAX_SEED, _add_output_args, _simulation_gap,
-                            run)
-from selfishlab.markov import q_at, stationary, stationary_truncated_oracle
-from selfishlab.probmodel import TransitionProbs
+from selfishlab.cli import (_COMMANDS, VERIFY_MAX_SEED, _add_output_args, _oracle_states,
+                            _simulation_gap, run)
+from selfishlab.markov import StationaryDist, q_at, stationary_truncated_oracle
+from selfishlab.probmodel import derive_transition_probs
 from selfishlab.simulator import CHUNK_ROUNDS
 
 
@@ -341,11 +341,14 @@ def test_verify_worst_case_replays_the_largest_oracle_error(capsys):
     assert code == 0
     suite = envelope["results"]["suites"][0]
     assert suite["suite"] == "stationary-oracle"
-    case = dict(item.split("=") for item in suite["worst_case"].split())
-    probs = TransitionProbs(**{key: float(case[key]) for key in ("p0", "p1", "p2", "p3")})
-    K = int(case["K"])
-    dist = stationary(probs)
-    vector = stationary_truncated_oracle(probs, K)
+    replay = suite["worst_case"].split()
+    assert replay[0] == "analyze"
+    code, analyzed, _ = run_json(capsys, replay)
+    assert code == 0
+    params = MiningParams(alpha=analyzed["inputs"]["alpha"], lam=analyzed["inputs"]["lambda"])
+    dist = StationaryDist(**{key: analyzed["results"][key] for key in ("q0", "q1", "rho")})
+    K = _oracle_states(dist.rho)
+    vector = stationary_truncated_oracle(derive_transition_probs(params), K)
     assert max(abs(vector[k] - q_at(dist, k)) for k in range(K + 1)) == suite["worst"]
 
 

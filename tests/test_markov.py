@@ -26,6 +26,21 @@ def test_stationary_golden_case():
     assert q_at(dist, 3) == pytest.approx(0.0625, abs=1e-12)
 
 
+def test_stationary_at_equal_opening_reads_one_minus_rho_exactly():
+    # p0 = p2 is the chain every answer takes: (1 - rho) + rho rounds to 1,
+    # so the shared law gives is_profitable's q0 = 1 - rho and q1 = rho*(1 - rho)
+    rng = np.random.default_rng(11)
+    rhos = np.concatenate([rng.uniform(0.0, 1.0, 2000),
+                           10.0 ** rng.uniform(-300.0, 0.0, 2000),
+                           1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 2000)])
+    for rho in rhos:
+        x, y = rho * 0.5, 0.5  # x/y == rho exactly: halving is exact above the subnormals
+        dist = stationary(TransitionProbs(p0=x, p1=0.0, p2=x, p3=y))
+        assert dist.rho == rho
+        assert dist.q0 == 1.0 - rho
+        assert dist.q1 == rho * (1.0 - rho)
+
+
 def test_stationary_no_lead_without_openings():
     dist = stationary(TransitionProbs(p0=0.0, p1=0.1, p2=0.1, p3=0.4))
     assert dist.q0 == 1.0
@@ -174,13 +189,16 @@ def test_oracle_heavy_tail():
 
 
 def _oracle_error(alpha, lam):
-    probs = derive_transition_probs(MiningParams(alpha=alpha, lam=lam))
+    # both the general law and the one analyze prints, against one oracle solve
+    params = MiningParams(alpha=alpha, lam=lam)
+    probs = derive_transition_probs(params)
     dist = stationary(probs)
     K = _oracle_states(dist.rho)
     vector = stationary_truncated_oracle(probs, K)
     assert abs(vector.sum() - 1.0) <= 1e-12
     assert vector.min() >= -1e-15
-    return max(abs(vector[k] - q_at(dist, k)) for k in range(K + 1))
+    return max(abs(vector[k] - q_at(law, k))
+               for law in (dist, is_profitable(params).dist) for k in range(K + 1))
 
 
 @pytest.mark.parametrize("alpha, lam", [

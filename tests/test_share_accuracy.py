@@ -136,6 +136,7 @@ def test_report_distribution_uses_the_same_rho():
     with mpmath.workdps(DIGITS):
         rho = mpmath.expm1(mpmath.mpf(200)) / mpmath.expm1(mpmath.mpf(800))
     assert relative_error(report.dist.rho, rho) <= 1e-12
+    assert report.dist.q0 == 1.0 - report.dist.rho
     assert report.dist.q1 == report.dist.rho * report.dist.q0
     assert report.ratio == report.dist.rho * 2.0
 
