@@ -1,19 +1,17 @@
 """Stationary analysis of the private-lead state machine and its revenue algebra.
 
-For transition probabilities ``(p0, p1, p2, p3)`` the lead process is a
-birth-death chain on the nonnegative integers: ``p0`` opens a lead from
-state 0, ``p2`` extends an existing lead, ``p3`` shrinks it by one, and
-all remaining mass is a self-loop.  When ``p2 < p3`` the chain is positive
-recurrent with
+For transition probabilities ``(p1, p2, p3)`` the lead process is a
+birth-death chain on the nonnegative integers: ``p2``, the attacker-only
+round, opens a lead from state 0 or extends one, ``p3`` shrinks it by one,
+and all remaining mass is a self-loop.  When ``p2 < p3`` the chain is
+positive recurrent with the geometric law
 
-    q0  = (1 - rho) / (1 - rho + p0 / p3),   rho = p2 / p3
-    q1  = (p0 / p3) * q0
-    q_k = q1 * rho**(k - 1),   k >= 1
+    q_k = (1 - rho) * rho**k,   rho = p2 / p3,   k >= 0
 
-satisfying the balance equations ``p0*q0 = p3*q1`` and
-``p2*q_k = p3*q_{k+1}``.  If ``p2 >= p3`` the lead drifts upward - the
-attacker out-mines the rest of the network - and no stationary
-distribution exists (:class:`~selfishlab.errors.DivergentLead`).
+which satisfies ``p2*q_k = p3*q_{k+1}`` and which :class:`StationaryDist`
+holds as rho alone.  If ``p2 >= p3`` the lead drifts upward - the attacker
+out-mines the rest of the network - and no stationary distribution exists
+(:class:`~selfishlab.errors.DivergentLead`).
 
 Revenue is tallied per resolution event in units of one block reward:
 
@@ -36,16 +34,16 @@ nonzero threshold needs gamma = 0 (below ``ALPHA_GUARD``) and a lambda
 above lambda_c ~ 1.2564, the root of e**lambda - 1 = 2*lambda, where the
 small-attacker share 2*alpha*lambda/(e**lambda - 1) drops below alpha.
 
-The law is written once, for ``stationary`` and ``is_profitable`` alike.
-``stationary_truncated_oracle`` checks it without reusing its algebra: it
-builds the rate matrix of the chain truncated at state K and solves its
-balance equations, with one replaced by the normalization, in a single
-linear solve.  ``verify`` compares it with the law ``analyze`` prints.
+``stationary_truncated_oracle`` checks the law without reusing its
+algebra: it builds the rate matrix of the chain truncated at state K and
+solves its balance equations, with one replaced by the normalization, in
+a single linear solve.  ``verify`` compares it with the law ``analyze`` prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -67,24 +65,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StationaryDist:
-    """Stationary distribution of the lead chain in closed form.
+    """Stationary distribution of the lead chain, held by rho alone.
 
-    q0 and q1 carry the first two states; every deeper state follows the
-    geometric decay ``q_k = q1 * rho**(k-1)``.
+    q0 = 1 - rho and q1 = rho*(1 - rho) carry the first two states; every
+    deeper state follows the geometric decay ``q_k = q1 * rho**(k-1)``.
     """
 
-    q0: float
-    q1: float
     rho: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.q0 <= 1.0 and 0.0 <= self.q1 <= 1.0):
-            raise InvalidParam(f"q0 and q1 must be probabilities, got {self.q0}, {self.q1}")
         if not (0.0 <= self.rho < 1.0):
             raise InvalidParam(f"rho must be in [0, 1), got {self.rho}")
-        total = self.q0 + (self.q1 / (1.0 - self.rho) if self.q1 else 0.0)
-        if abs(total - 1.0) > 1e-9:
-            raise InvalidParam(f"distribution does not normalize: total mass {total}")
+
+    @property
+    def q0(self) -> float:
+        return 1.0 - self.rho
+
+    @property
+    def q1(self) -> float:
+        return self.rho * (1.0 - self.rho)
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,6 @@ def _require_recurrent(probs: TransitionProbs) -> None:
             "attacker majority, no stationary lead distribution")
 
 
-def _lead_law(rho: float, opening: float) -> StationaryDist:
-    q0 = (1.0 - rho) / ((1.0 - rho) + opening)  # opening = p0/p3; 1 - rho normalizes the tail
-    return StationaryDist(q0=q0, q1=opening * q0, rho=rho)
-
-
 def stationary(probs: TransitionProbs) -> StationaryDist:
     """Solve the balance equations of the lead chain.
 
@@ -119,11 +113,13 @@ def stationary(probs: TransitionProbs) -> StationaryDist:
     DivergentLead when p2 >= p3.
     """
     _require_recurrent(probs)
-    return _lead_law(probs.p2 / probs.p3, probs.p0 / probs.p3)
+    return StationaryDist(rho=probs.p2 / probs.p3)
 
 
 def q_at(dist: StationaryDist, k: int) -> float:
-    """Stationary probability of lead ``k``."""
+    """Stationary probability of lead ``k``, a nonnegative integer."""
+    if isinstance(k, bool) or not isinstance(k, Integral):
+        raise InvalidParam(f"state index must be an integer, got {k!r}")
     if k < 0:
         raise InvalidParam(f"state index must be nonnegative, got {k}")
     if k == 0:
@@ -170,9 +166,9 @@ def is_profitable(params: MiningParams) -> RevenueReport:
 
     Profitable means the attacker's revenue share exceeds its power share
     ``alpha``, i.e. withholding beats mining honestly.  The distribution is
-    built from rho alone (q0 = 1 - rho, q1 = rho * q0, since p0 = p2), so it
-    keeps its digits where p2 underflows.  Raises DivergentLead when
-    alpha >= 1/2, or when rho rounds to 1 or above just below 1/2.
+    built from rho alone, so it keeps its digits where p2 underflows.
+    Raises DivergentLead when alpha >= 1/2, or when rho rounds to 1 or
+    above just below 1/2.
     """
     _require_minority(params.alpha)
     rho = float(lead_ratio(params.alpha, params.lam))
@@ -181,7 +177,7 @@ def is_profitable(params: MiningParams) -> RevenueReport:
                             f"lam={params.lam!r}: no stationary lead distribution in "
                             "floating point")
     ratio = revenue_ratio(rho, params.gamma)
-    dist = _lead_law(rho, rho)  # (1 - rho) + rho rounds to 1, so q0 = 1 - rho exactly
+    dist = StationaryDist(rho=rho)
     r_a, r_b = revenue_rates(dist, derive_transition_probs(params), params.gamma)
     return RevenueReport(r_a=r_a, r_b=r_b, ratio=ratio, profitable=ratio > params.alpha,
                          dist=dist)
@@ -190,13 +186,13 @@ def is_profitable(params: MiningParams) -> RevenueReport:
 def stationary_truncated_oracle(probs: TransitionProbs, K: int) -> np.ndarray:
     """Stationary vector of the K-truncated lead chain by one direct solve.
 
-    Builds the (K+1)-state rate matrix Q from the moves alone: p0 opens a
-    lead from state 0, p2 extends it, p3 shrinks it, and state K has no
-    upward move.  Each diagonal entry is minus its row's off-diagonal sum,
-    so no ``1 - p`` is ever formed.  State 0's balance equation in
-    ``vQ = 0`` is replaced by the normalization ``sum(v) = 1``, and the
-    system is solved once (Stewart, *Introduction to the Numerical
-    Solution of Markov Chains*, 1994, ch. 2).
+    Builds the (K+1)-state rate matrix Q from the moves alone: p2 opens or
+    extends a lead, p3 shrinks it, and state K has no upward move.  Each
+    diagonal entry is minus its row's off-diagonal sum, so no ``1 - p`` is
+    ever formed.  State 0's balance equation in ``vQ = 0`` is replaced by
+    the normalization ``sum(v) = 1``, and the system is solved once
+    (Stewart, *Introduction to the Numerical Solution of Markov Chains*,
+    1994, ch. 2).
 
     The truncation error relative to the infinite chain is bounded by the
     geometric tail rho**K, so callers pick K from their target accuracy.
@@ -207,7 +203,6 @@ def stationary_truncated_oracle(probs: TransitionProbs, K: int) -> np.ndarray:
     Q = np.zeros((K + 1, K + 1))
     up = np.arange(K)
     Q[up, up + 1] = probs.p2
-    Q[0, 1] = probs.p0
     Q[up + 1, up] = probs.p3
     np.fill_diagonal(Q, -Q.sum(axis=1))
     A = Q.T  # row j is state j's balance equation; row 0 becomes sum(v) = 1

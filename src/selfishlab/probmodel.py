@@ -14,19 +14,17 @@ additional height), so each side's round outcome is Bernoulli:
     p_honest   = 1 - exp(-(1 - alpha) * lam)
 
 Treating the two sides' discoveries as independent within a round yields
-the four transition probabilities of the private-lead state machine:
+the three transition probabilities of the private-lead state machine:
 
-    p0 = p_attacker * exp(-(1 - alpha) * lam)   lead opens from state 0
     p1 = p_attacker * p_honest                  both find; lead unchanged
-    p2 = p_attacker * exp(-(1 - alpha) * lam)   lead extends from state k >= 1
+    p2 = p_attacker * exp(-(1 - alpha) * lam)   lead opens from 0 or extends by one
     p3 = exp(-alpha * lam) * p_honest           honest side closes the lead by one
 
-``p0`` and ``p2`` are the same per-round event seen from different states,
-so this mapping always produces them equal; they are stored separately
-because the state machine treats the two transitions as distinct.  The
-leftover mass ``(1 - p_attacker) * (1 - p_honest)`` is the idle self-loop
-and carries no name.  ``lead_ratio`` gives ``rho = p2 / p3``, which alone
-sets the revenue share, even where p2 and p3 underflow.
+An attacker-only round opens a lead as often as it extends one, so the
+lead law is geometric, ``q_k = (1 - rho) * rho**k``.  The leftover mass
+``(1 - p_attacker) * (1 - p_honest)`` is the idle self-loop.
+``lead_ratio`` gives ``rho = p2 / p3``, which alone sets the lead law and
+the revenue share, even where p2 and p3 underflow.
 
 The Poisson split is the one modelling assumption added here on top of the
 protocol parameters: proof-of-work inter-solution times are exponential,
@@ -103,26 +101,24 @@ class MiningParams:
 
 @dataclass(frozen=True)
 class TransitionProbs:
-    """The four named transition probabilities of the lead state machine.
+    """The three named transition probabilities of the lead state machine.
 
-    p0: from lead 0, attacker finds while honest side does not.
     p1: both sides find in the same round (lead unchanged).
-    p2: from lead k >= 1, attacker finds while honest side does not.
+    p2: attacker finds while honest side does not (lead opens or extends).
     p3: honest side finds while attacker does not (lead shrinks).
 
     p1 + p2 + p3 must not exceed 1: they partition the outcomes of one
-    round at lead >= 1 together with the unnamed idle event.  Stationarity
-    additionally needs p2 < p3, which is checked at use sites rather than
-    at construction.
+    round together with the unnamed idle event.  Stationarity additionally
+    needs p2 < p3, which is checked at use sites rather than at
+    construction.
     """
 
-    p0: float
     p1: float
     p2: float
     p3: float
 
     def __post_init__(self) -> None:
-        for name in ("p0", "p1", "p2", "p3"):
+        for name in ("p1", "p2", "p3"):
             value = getattr(self, name)
             _require(math.isfinite(value) and 0.0 <= value <= 1.0,
                      f"{name} must be a probability, got {value}")
@@ -155,11 +151,9 @@ def round_success_probs(params: MiningParams) -> tuple[float, float]:
 def derive_transition_probs(params: MiningParams) -> TransitionProbs:
     """Map mining parameters to the lead machine's transition probabilities."""
     p_attacker, p_honest = round_success_probs(params)
-    extend = p_attacker * math.exp(-(1.0 - params.alpha) * params.lam)
     return TransitionProbs(
-        p0=extend,
         p1=p_attacker * p_honest,
-        p2=extend,
+        p2=p_attacker * math.exp(-(1.0 - params.alpha) * params.lam),
         p3=math.exp(-params.alpha * params.lam) * p_honest,
     )
 

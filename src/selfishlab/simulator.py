@@ -303,8 +303,11 @@ def simulate(config: SimConfig, *, workers: int = 1) -> SimResult:
 
     ``workers`` only selects how the independent chunks are executed; the
     merged result is bit-identical for any worker count.  Raises
+    InvalidConfig unless ``workers`` is a positive integer, and
     DivergentLead when alpha >= 1/2.
     """
+    if isinstance(workers, bool) or not isinstance(workers, Integral) or workers < 1:
+        raise InvalidConfig(f"workers must be a positive integer, got {workers!r}")
     _require_minority(config.params.alpha)
     p_attacker, p_honest = round_success_probs(config.params)
     gamma = config.params.gamma

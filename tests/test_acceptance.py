@@ -19,7 +19,7 @@ def _report(name, detail):
 
 
 def test_criterion_1_closed_form_golden_case():
-    probs = TransitionProbs(p0=0.2, p1=0.1, p2=0.2, p3=0.4)
+    probs = TransitionProbs(p1=0.1, p2=0.2, p3=0.4)
     dist = stationary(probs)
     assert abs(dist.q0 - 0.5) <= 1e-12
     assert abs(dist.q1 - 0.25) <= 1e-12
@@ -51,7 +51,7 @@ def test_criterion_3_balance_and_normalization(make_probs):
     for _ in range(10_000):
         probs = make_probs(rng, rho_max=0.99)
         dist = stationary(probs)
-        errors = [abs(probs.p0 * dist.q0 - probs.p3 * dist.q1),
+        errors = [abs(probs.p2 * dist.q0 - probs.p3 * dist.q1),
                   abs(dist.q0 + dist.q1 / (1.0 - dist.rho) - 1.0)]
         errors += [abs(probs.p2 * q_at(dist, k) - probs.p3 * q_at(dist, k + 1))
                    for k in range(1, 51)]

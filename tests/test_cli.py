@@ -346,7 +346,8 @@ def test_verify_worst_case_replays_the_largest_oracle_error(capsys):
     code, analyzed, _ = run_json(capsys, replay)
     assert code == 0
     params = MiningParams(alpha=analyzed["inputs"]["alpha"], lam=analyzed["inputs"]["lambda"])
-    dist = StationaryDist(**{key: analyzed["results"][key] for key in ("q0", "q1", "rho")})
+    dist = StationaryDist(rho=analyzed["results"]["rho"])
+    assert (dist.q0, dist.q1) == (analyzed["results"]["q0"], analyzed["results"]["q1"])
     K = _oracle_states(dist.rho)
     vector = stationary_truncated_oracle(derive_transition_probs(params), K)
     assert max(abs(vector[k] - q_at(dist, k)) for k in range(K + 1)) == suite["worst"]

@@ -14,7 +14,7 @@ from selfishlab.markov import (
 )
 from selfishlab.probmodel import MiningParams, TransitionProbs, derive_transition_probs
 
-GOLDEN = TransitionProbs(p0=0.2, p1=0.1, p2=0.2, p3=0.4)
+GOLDEN = TransitionProbs(p1=0.1, p2=0.2, p3=0.4)
 
 
 def test_stationary_golden_case():
@@ -27,36 +27,37 @@ def test_stationary_golden_case():
 
 
 def test_stationary_at_equal_opening_reads_one_minus_rho_exactly():
-    # p0 = p2 is the chain every answer takes: (1 - rho) + rho rounds to 1,
-    # so the shared law gives is_profitable's q0 = 1 - rho and q1 = rho*(1 - rho)
+    # p2/p3 keeps rho's digits, so stationary gives is_profitable's
+    # q0 = 1 - rho and q1 = rho*(1 - rho) bit for bit
     rng = np.random.default_rng(11)
     rhos = np.concatenate([rng.uniform(0.0, 1.0, 2000),
                            10.0 ** rng.uniform(-300.0, 0.0, 2000),
                            1.0 - 10.0 ** -rng.uniform(0.0, 16.0, 2000)])
     for rho in rhos:
         x, y = rho * 0.5, 0.5  # x/y == rho exactly: halving is exact above the subnormals
-        dist = stationary(TransitionProbs(p0=x, p1=0.0, p2=x, p3=y))
+        dist = stationary(TransitionProbs(p1=0.0, p2=x, p3=y))
         assert dist.rho == rho
         assert dist.q0 == 1.0 - rho
         assert dist.q1 == rho * (1.0 - rho)
 
 
 def test_stationary_no_lead_without_openings():
-    dist = stationary(TransitionProbs(p0=0.0, p1=0.1, p2=0.1, p3=0.4))
+    # p2 both opens and extends a lead, so p2 = 0 is the one chain without openings
+    dist = stationary(TransitionProbs(p1=0.1, p2=0.0, p3=0.4))
     assert dist.q0 == 1.0
     assert dist.q1 == 0.0
 
 
 def test_stationary_divergent_boundary():
     with pytest.raises(DivergentLead):
-        stationary(TransitionProbs(p0=0.2, p1=0.1, p2=0.4, p3=0.4))
+        stationary(TransitionProbs(p1=0.1, p2=0.4, p3=0.4))
     with pytest.raises(DivergentLead):
-        stationary(TransitionProbs(p0=0.2, p1=0.1, p2=0.5, p3=0.4))
+        stationary(TransitionProbs(p1=0.1, p2=0.5, p3=0.4))
 
 
 def test_stationary_requires_recovery():
     with pytest.raises(InvalidParam):
-        stationary(TransitionProbs(p0=0.2, p1=0.1, p2=0.0, p3=0.0))
+        stationary(TransitionProbs(p1=0.1, p2=0.0, p3=0.0))
 
 
 def test_q_at_definition_and_tail():
@@ -65,8 +66,12 @@ def test_q_at_definition_and_tail():
     assert q_at(dist, 1) == dist.q1
     assert q_at(dist, 60) <= 0.5 * 2.0 ** -59
     assert q_at(dist, 60) < 1e-15
+    assert q_at(dist, np.int64(2)) == q_at(dist, 2)
     with pytest.raises(InvalidParam):
         q_at(dist, -1)
+    for k in (1.5, 1.0, True, "1"):
+        with pytest.raises(InvalidParam, match="state index must be an integer"):
+            q_at(dist, k)
 
 
 def test_revenue_rates_golden_case():
@@ -80,7 +85,7 @@ def test_revenue_rates_golden_case():
 
 
 def test_revenue_rates_zero_without_lead_mass():
-    probs = TransitionProbs(p0=0.0, p1=0.1, p2=0.1, p3=0.4)
+    probs = TransitionProbs(p1=0.1, p2=0.0, p3=0.4)
     dist = stationary(probs)
     assert revenue_rates(dist, probs, gamma=0.7) == (0.0, 0.0)
 
@@ -94,7 +99,7 @@ def test_revenue_ratio_golden_case():
 def test_revenue_ratio_convention_at_degenerate_dist():
     # the share depends on rho alone, and gamma is its only continuous value
     # at rho = 0: an attacker that mines however rarely wins gamma of its races
-    dist = StationaryDist(q0=1.0, q1=0.0, rho=0.0)
+    dist = StationaryDist(rho=0.0)
     assert revenue_ratio(dist.rho, 0.5) == 0.5
     assert revenue_ratio(dist.rho, 0.0) == 0.0
 
@@ -141,7 +146,7 @@ def test_balance_and_normalization(make_probs):
     for _ in range(2000):
         probs = make_probs(rng, rho_max=0.99)
         dist = stationary(probs)
-        assert abs(probs.p0 * dist.q0 - probs.p3 * dist.q1) <= 1e-12
+        assert abs(probs.p2 * dist.q0 - probs.p3 * dist.q1) <= 1e-12
         for k in range(1, 20):
             assert abs(probs.p2 * q_at(dist, k) - probs.p3 * q_at(dist, k + 1)) <= 1e-12
         assert abs(dist.q0 + dist.q1 / (1.0 - dist.rho) - 1.0) <= 1e-12
@@ -174,14 +179,14 @@ def test_oracle_matches_golden_case():
 
 
 def test_oracle_degenerate_chain():
-    probs = TransitionProbs(p0=0.0, p1=0.1, p2=0.1, p3=0.4)
+    probs = TransitionProbs(p1=0.1, p2=0.0, p3=0.4)
     vector = stationary_truncated_oracle(probs, 8)
     assert vector[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(vector[1:] <= 1e-12)
 
 
 def test_oracle_heavy_tail():
-    probs = TransitionProbs(p0=0.3, p1=0.0, p2=0.36, p3=0.4)  # rho = 0.9
+    probs = TransitionProbs(p1=0.0, p2=0.36, p3=0.4)  # rho = 0.9
     dist = stationary(probs)
     vector = stationary_truncated_oracle(probs, 400)
     linf = max(abs(vector[k] - q_at(dist, k)) for k in range(401))
@@ -189,7 +194,7 @@ def test_oracle_heavy_tail():
 
 
 def _oracle_error(alpha, lam):
-    # both the general law and the one analyze prints, against one oracle solve
+    # the law from p2/p3 and the one analyze prints from lead_ratio, against one oracle solve
     params = MiningParams(alpha=alpha, lam=lam)
     probs = derive_transition_probs(params)
     dist = stationary(probs)
@@ -226,18 +231,15 @@ def test_oracle_validation_errors():
     with pytest.raises(InvalidParam):
         stationary_truncated_oracle(GOLDEN, 1)
     with pytest.raises(InvalidParam):
-        stationary_truncated_oracle(TransitionProbs(p0=0.2, p1=0.1, p2=0.0, p3=0.0), 8)
+        stationary_truncated_oracle(TransitionProbs(p1=0.1, p2=0.0, p3=0.0), 8)
     with pytest.raises(DivergentLead):
-        stationary_truncated_oracle(TransitionProbs(p0=0.2, p1=0.1, p2=0.4, p3=0.4), 8)
+        stationary_truncated_oracle(TransitionProbs(p1=0.1, p2=0.4, p3=0.4), 8)
 
 
-def test_stationary_dist_validation():
-    with pytest.raises(InvalidParam):
-        StationaryDist(q0=0.5, q1=0.25, rho=1.0)
-    with pytest.raises(InvalidParam):
-        StationaryDist(q0=0.9, q1=0.5, rho=0.5)  # mass 1.9
-    with pytest.raises(InvalidParam):
-        StationaryDist(q0=-0.1, q1=0.5, rho=0.5)
+@pytest.mark.parametrize("rho", [1.0, -0.1, float("nan")])
+def test_stationary_dist_validation(rho):
+    with pytest.raises(InvalidParam, match="rho must be in"):
+        StationaryDist(rho=rho)
 
 
 def test_revenue_gamma_validation():

@@ -92,9 +92,8 @@ def test_round_success_probs_poisson_split_oracle():
 
 def test_transition_probs_quarter_power():
     probs = derive_transition_probs(MiningParams(alpha=0.25, lam=1.0))
-    assert probs.p0 == pytest.approx(0.104487, abs=5e-7)
     assert probs.p1 == pytest.approx(0.116712, abs=5e-7)
-    assert probs.p2 == probs.p0
+    assert probs.p2 == pytest.approx(0.104487, abs=5e-7)
     # consistent with the stated p_honest and p1: p3 = p_honest - p1
     assert probs.p3 == pytest.approx(0.410921, abs=5e-7)
 
@@ -107,17 +106,15 @@ def test_transition_probs_symmetric_power_balances():
 
 def test_transition_probs_vanish_with_intensity():
     probs = derive_transition_probs(MiningParams(alpha=0.5, lam=1e-12))
-    for value in (probs.p0, probs.p1, probs.p2, probs.p3):
+    for value in (probs.p1, probs.p2, probs.p3):
         assert 0.0 <= value < 1e-11
 
 
 def test_transition_probs_validation():
     with pytest.raises(InvalidParam):
-        TransitionProbs(p0=0.2, p1=0.5, p2=0.4, p3=0.4)  # p1+p2+p3 > 1
+        TransitionProbs(p1=0.5, p2=0.4, p3=0.4)  # p1+p2+p3 > 1
     with pytest.raises(InvalidParam):
-        TransitionProbs(p0=1.2, p1=0.1, p2=0.1, p3=0.2)
-    with pytest.raises(InvalidParam):
-        TransitionProbs(p0=0.2, p1=-0.1, p2=0.1, p3=0.2)
+        TransitionProbs(p1=-0.1, p2=0.1, p3=0.2)
 
 
 def test_events_partition_the_round():
@@ -129,7 +126,6 @@ def test_events_partition_the_round():
         probs = derive_transition_probs(params)
         idle = (1.0 - p_attacker) * (1.0 - p_honest)
         assert probs.p1 + probs.p2 + probs.p3 + idle == pytest.approx(1.0, abs=1e-12)
-        assert probs.p0 == probs.p2
 
 
 def test_lead_drift_sign_matches_power_split():

@@ -141,6 +141,18 @@ def test_report_distribution_uses_the_same_rho():
     assert report.ratio == report.dist.rho * 2.0
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 14: q0 = 1 - rho is formed from a rounded rho, "
+                          "so it cancels as alpha -> 1/2")
+@pytest.mark.parametrize("alpha", [0.5 - 1e-12, 0.5 - 1e-14])
+def test_q0_keeps_its_digits_near_half(alpha):
+    report = is_profitable(MiningParams(alpha=alpha, lam=1.0))
+    with mpmath.workdps(DIGITS):
+        a = mpmath.mpf(alpha)
+        d = 1 - mpmath.expm1(a) / mpmath.expm1(1 - a)
+    assert relative_error(report.dist.q0, d) <= 1e-13
+
+
 @pytest.mark.parametrize("alpha,lam,gamma", [
     (0.3, 1.0, 0.5), (0.3, 50.0, 0.0), (0.1, 2.0, 0.0), (0.45, 0.5, 1.0),
     (0.49, 5.0, 0.25), (1e-6, 1.0, 0.7), (0.2, 100.0, 0.5),

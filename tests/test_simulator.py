@@ -55,6 +55,18 @@ def test_config_validation():
     assert SimConfig(params=REFERENCE, rounds=np.int64(10), seed=np.uint64(1)).rounds == 10
 
 
+@pytest.mark.parametrize("workers", [0, -2, 2.5, "2", True, None])
+def test_simulate_rejects_bad_worker_counts(workers):
+    config = SimConfig(params=REFERENCE, rounds=10, seed=1)
+    with pytest.raises(InvalidConfig, match="workers must be a positive integer"):
+        simulate(config, workers=workers)
+
+
+def test_simulate_takes_numpy_worker_counts():
+    config = SimConfig(params=REFERENCE, rounds=10, seed=1)
+    assert simulate(config, workers=np.int64(2)) == simulate(config)
+
+
 def test_simulate_rejects_majority_attacker():
     config = SimConfig(params=MiningParams(alpha=0.5, lam=1.0), rounds=10, seed=1)
     with pytest.raises(DivergentLead, match="attacker majority"):
