@@ -37,11 +37,13 @@ small-attacker share 2*alpha*lambda/(e**lambda - 1) drops below alpha.
 ``stationary_truncated_oracle`` checks the law without reusing its
 algebra: it builds the rate matrix of the chain truncated at state K and
 solves its balance equations, with one replaced by the normalization, in
-a single linear solve.  ``verify`` compares it with the law ``analyze`` prints.
+a single linear solve, at the smallest K from 8 to 400 with rho**K <= 1e-13.
+``verify`` compares it with the law ``analyze`` prints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -183,7 +185,7 @@ def is_profitable(params: MiningParams) -> RevenueReport:
                          dist=dist)
 
 
-def stationary_truncated_oracle(probs: TransitionProbs, K: int) -> np.ndarray:
+def stationary_truncated_oracle(probs: TransitionProbs) -> np.ndarray:
     """Stationary vector of the K-truncated lead chain by one direct solve.
 
     Builds the (K+1)-state rate matrix Q from the moves alone: p2 opens or
@@ -194,12 +196,13 @@ def stationary_truncated_oracle(probs: TransitionProbs, K: int) -> np.ndarray:
     (Stewart, *Introduction to the Numerical Solution of Markov Chains*,
     1994, ch. 2).
 
-    The truncation error relative to the infinite chain is bounded by the
-    geometric tail rho**K, so callers pick K from their target accuracy.
+    K is the smallest integer >= 8 with rho**K <= 1e-13, capped at 400 (8
+    when rho <= 1e-6).  Each of the K + 1 entries is within rho**(K+1) of
+    the infinite chain's q_k, so within 1e-13 unless the cap binds.
     """
-    if K < 2:
-        raise InvalidParam(f"K must be at least 2, got {K}")
     _require_recurrent(probs)
+    rho = probs.p2 / probs.p3
+    K = min(400, max(8, math.ceil(math.log(1e-13) / math.log(rho)))) if rho > 1e-6 else 8
     Q = np.zeros((K + 1, K + 1))
     up = np.arange(K)
     Q[up, up + 1] = probs.p2

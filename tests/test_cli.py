@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from selfishlab import MiningParams, SimConfig, __version__, is_profitable, simulate
-from selfishlab.cli import (_COMMANDS, VERIFY_MAX_SEED, _add_output_args, _oracle_states,
-                            _simulation_gap, run)
+from selfishlab.cli import (_COMMANDS, VERIFY_MAX_SEED, _add_output_args, _simulation_gap,
+                            run)
 from selfishlab.markov import StationaryDist, q_at, stationary_truncated_oracle
 from selfishlab.probmodel import derive_transition_probs
 from selfishlab.simulator import CHUNK_ROUNDS
@@ -348,9 +348,8 @@ def test_verify_worst_case_replays_the_largest_oracle_error(capsys):
     params = MiningParams(alpha=analyzed["inputs"]["alpha"], lam=analyzed["inputs"]["lambda"])
     dist = StationaryDist(rho=analyzed["results"]["rho"])
     assert (dist.q0, dist.q1) == (analyzed["results"]["q0"], analyzed["results"]["q1"])
-    K = _oracle_states(dist.rho)
-    vector = stationary_truncated_oracle(derive_transition_probs(params), K)
-    assert max(abs(vector[k] - q_at(dist, k)) for k in range(K + 1)) == suite["worst"]
+    vector = stationary_truncated_oracle(derive_transition_probs(params))
+    assert max(abs(vector[k] - q_at(dist, k)) for k in range(len(vector))) == suite["worst"]
 
 
 def test_verify_detects_injected_fault(capsys, monkeypatch):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from selfishlab.cli import _oracle_states
 from selfishlab.errors import DivergentLead, InvalidParam
 from selfishlab.markov import (
     StationaryDist,
@@ -173,14 +172,14 @@ def test_is_profitable_rejects_majority():
 
 def test_oracle_matches_golden_case():
     dist = stationary(GOLDEN)
-    vector = stationary_truncated_oracle(GOLDEN, 64)
-    linf = max(abs(vector[k] - q_at(dist, k)) for k in range(65))
+    vector = stationary_truncated_oracle(GOLDEN)
+    linf = max(abs(vector[k] - q_at(dist, k)) for k in range(len(vector)))
     assert linf <= 1e-12
 
 
 def test_oracle_degenerate_chain():
     probs = TransitionProbs(p1=0.1, p2=0.0, p3=0.4)
-    vector = stationary_truncated_oracle(probs, 8)
+    vector = stationary_truncated_oracle(probs)
     assert vector[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(vector[1:] <= 1e-12)
 
@@ -188,8 +187,8 @@ def test_oracle_degenerate_chain():
 def test_oracle_heavy_tail():
     probs = TransitionProbs(p1=0.0, p2=0.36, p3=0.4)  # rho = 0.9
     dist = stationary(probs)
-    vector = stationary_truncated_oracle(probs, 400)
-    linf = max(abs(vector[k] - q_at(dist, k)) for k in range(401))
+    vector = stationary_truncated_oracle(probs)
+    linf = max(abs(vector[k] - q_at(dist, k)) for k in range(len(vector)))
     assert linf <= 1e-10
 
 
@@ -198,12 +197,11 @@ def _oracle_error(alpha, lam):
     params = MiningParams(alpha=alpha, lam=lam)
     probs = derive_transition_probs(params)
     dist = stationary(probs)
-    K = _oracle_states(dist.rho)
-    vector = stationary_truncated_oracle(probs, K)
+    vector = stationary_truncated_oracle(probs)
     assert abs(vector.sum() - 1.0) <= 1e-12
     assert vector.min() >= -1e-15
     return max(abs(vector[k] - q_at(law, k))
-               for law in (dist, is_profitable(params).dist) for k in range(K + 1))
+               for law in (dist, is_profitable(params).dist) for k in range(len(vector)))
 
 
 @pytest.mark.parametrize("alpha, lam", [
@@ -229,11 +227,22 @@ def test_oracle_over_domain():
 
 def test_oracle_validation_errors():
     with pytest.raises(InvalidParam):
-        stationary_truncated_oracle(GOLDEN, 1)
-    with pytest.raises(InvalidParam):
-        stationary_truncated_oracle(TransitionProbs(p1=0.1, p2=0.0, p3=0.0), 8)
+        stationary_truncated_oracle(TransitionProbs(p1=0.1, p2=0.0, p3=0.0))
     with pytest.raises(DivergentLead):
-        stationary_truncated_oracle(TransitionProbs(p1=0.1, p2=0.4, p3=0.4), 8)
+        stationary_truncated_oracle(TransitionProbs(p1=0.1, p2=0.4, p3=0.4))
+
+
+@pytest.mark.parametrize("rho, entries", [
+    (0.0, 9), (1e-7, 9), (1e-3, 9), (0.5, 45), (0.9, 286), (0.95, 401),
+])
+def test_oracle_truncation_rule(rho, entries):
+    # the smallest K >= 8 with rho**K <= 1e-13, capped at K = 400
+    vector = stationary_truncated_oracle(TransitionProbs(p1=0.1, p2=0.4 * rho, p3=0.4))
+    K = len(vector) - 1
+    assert len(vector) == entries
+    assert abs(vector.sum() - 1.0) <= 1e-12
+    if K < 400:
+        assert rho ** K <= 1e-13
 
 
 @pytest.mark.parametrize("rho", [1.0, -0.1, float("nan")])
