@@ -200,10 +200,10 @@ def _mc_check_cell(lam: float, alpha_star: float, gamma: float,
 
     Consistency means the share sits at or below the power share at the
     lower probe and at or above it at the upper probe, within three
-    standard errors each.  The probes are clamped to [1e-3, 0.499]; one
-    that the clamp puts at or across alpha* is not simulated, and one that
-    sees no resolution event has no share.  Either leaves the cell's
-    verdict None.
+    standard errors each: sign * ``_z`` >= -3.  The probes are clamped to
+    [1e-3, 0.499]; one that the clamp puts at or across alpha* is not
+    simulated, and one that sees no resolution event has no share.  Either
+    leaves the cell's verdict None.
     """
     probes = dict.fromkeys(("mc_alpha_low", "mc_ratio_low", "mc_alpha_high", "mc_ratio_high",
                             "mc_consistent"))
@@ -220,7 +220,7 @@ def _mc_check_cell(lam: float, alpha_star: float, gamma: float,
             probes[f"mc_alpha_{label}"] = alpha
             if result.revenue_a + result.revenue_b > 0.0:
                 probes[f"mc_ratio_{label}"] = result.ratio
-                check = sign * (result.ratio - alpha) >= -3.0 * result.ratio_stderr
+                check = sign * _z(result.ratio - alpha, result.ratio_stderr) >= -3.0
         checks.append(check)
     probes["mc_consistent"] = None if None in checks else all(checks)
     return probes
@@ -266,7 +266,7 @@ def _oracle_suite(cases: int, seed: int) -> dict[str, Any]:
     checks = []
     while len(checks) < cases:
         alpha, lam = 0.5 * (1.0 - rng.random()), 10.0 ** rng.uniform(-12.0, 3.0)
-        if lead_ratio(alpha, lam) <= VERIFY_ORACLE_RHO_MAX:
+        if lead_ratio(alpha, lam)[0] <= VERIFY_ORACLE_RHO_MAX:
             case = MiningParams(alpha=alpha, lam=lam)
             vector = stationary_truncated_oracle(derive_transition_probs(case))
             checks.append((_lead_mass_gap(vector, is_profitable(case).dist), alpha, lam))
@@ -278,20 +278,22 @@ def _oracle_suite(cases: int, seed: int) -> dict[str, Any]:
             "tolerance": VERIFY_ORACLE_TOL}
 
 
+def _z(difference: float, stderr: float) -> float:
+    """difference / stderr; at stderr 0, 0 if difference is 0 and signed infinity otherwise."""
+    if stderr > 0.0:
+        return difference / stderr
+    return math.copysign(math.inf, difference) if difference else 0.0
+
+
 def _simulation_gap(params: MiningParams, rounds: int, seed: int) -> tuple[float, float]:
     """Paper-accounting simulation vs the closed form: share z-score and occupancy gap.
 
-    z is the share difference over its standard error; with a zero standard
-    error it is 0 when the shares agree and signed infinity otherwise.  The gap
-    is the largest lead-mass difference over leads 0-10 and every lead the run reached.
+    z is the share difference over its standard error (``_z``).  The gap is
+    the largest lead-mass difference over leads 0-10 and every lead the run reached.
     """
     result = simulate(SimConfig(params=params, rounds=rounds, seed=seed))
     report = is_profitable(params)
-    difference = result.ratio - report.ratio
-    if result.ratio_stderr > 0.0:
-        z = difference / result.ratio_stderr
-    else:
-        z = math.copysign(math.inf, difference) if difference else 0.0
+    z = _z(result.ratio - report.ratio, result.ratio_stderr)
     occupancy = result.occupancy + (0.0,) * (11 - len(result.occupancy))
     return z, _lead_mass_gap(occupancy, report.dist)
 

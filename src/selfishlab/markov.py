@@ -9,9 +9,9 @@ positive recurrent with the geometric law
     q_k = (1 - rho) * rho**k,   rho = p2 / p3,   k >= 0
 
 which satisfies ``p2*q_k = p3*q_{k+1}`` and which :class:`StationaryDist`
-holds as rho alone.  If ``p2 >= p3`` the lead drifts upward - the attacker
-out-mines the rest of the network - and no stationary distribution exists
-(:class:`~selfishlab.errors.DivergentLead`).
+holds as rho and ``q0 = d = 1 - rho``.  If ``p2 >= p3`` the lead drifts
+upward - the attacker out-mines the rest of the network - and no stationary
+distribution exists (:class:`~selfishlab.errors.DivergentLead`).
 
 Revenue is tallied per resolution event in units of one block reward:
 
@@ -21,10 +21,10 @@ Revenue is tallied per resolution event in units of one block reward:
 * each further step down from lead >= 3 pays the attacker one reward
   (the block is committed even though it is cashed in later).
 
-Since ``1 - q0 = q1 / (1 - rho)``, the attacker's share of the counted
-revenue depends on rho and gamma alone, rising from gamma at rho = 0 to 1:
+Since ``1 - q0 = q1 / d``, the attacker's share of the counted revenue
+depends on rho and gamma alone, rising from gamma at rho = 0 to 1:
 
-    share = (gamma*(1 - rho) + rho*(2 - rho)) / (1 + rho*(1 - rho))
+    share = (gamma*d + rho*(2 - rho)) / (1 + rho*d),   d = 1 - rho
 
 In this stylized accounting honest miners are credited only for won
 races, so the share never falls below its rho -> 0 limit gamma: an
@@ -67,25 +67,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StationaryDist:
-    """Stationary distribution of the lead chain, held by rho alone.
+    """Stationary distribution of the lead chain, held by rho and q0 = d = 1 - rho.
 
-    q0 = 1 - rho and q1 = rho*(1 - rho) carry the first two states; every
-    deeper state follows the geometric decay ``q_k = q1 * rho**(k-1)``.
+    q0 and q1 = rho*q0 carry the first two states, rho + q0 = 1 within 2**-52;
+    every deeper state follows the geometric decay ``q_k = q1 * rho**(k-1)``.
     """
 
     rho: float
+    q0: float
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.rho < 1.0):
-            raise InvalidParam(f"rho must be in [0, 1), got {self.rho}")
-
-    @property
-    def q0(self) -> float:
-        return 1.0 - self.rho
+        if not (0.0 <= self.rho < 1.0 and 0.0 < self.q0 <= 1.0
+                and abs(self.rho + self.q0 - 1.0) <= 2.0 ** -52):
+            raise InvalidParam(f"rho must be in [0, 1) and q0 in (0, 1] with rho + q0 = 1 "
+                               f"within 2**-52, got rho={self.rho}, q0={self.q0}")
 
     @property
     def q1(self) -> float:
-        return self.rho * (1.0 - self.rho)
+        return self.rho * self.q0
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ def stationary(probs: TransitionProbs) -> StationaryDist:
     DivergentLead when p2 >= p3.
     """
     _require_recurrent(probs)
-    return StationaryDist(rho=probs.p2 / probs.p3)
+    return StationaryDist(rho=probs.p2 / probs.p3, q0=(probs.p3 - probs.p2) / probs.p3)
 
 
 def q_at(dist: StationaryDist, k: int) -> float:
@@ -129,10 +128,10 @@ def q_at(dist: StationaryDist, k: int) -> float:
     return dist.q1 * dist.rho ** (k - 1)
 
 
-def _payouts(rho: float | np.ndarray, gamma: float) -> tuple:
-    # the paper ledger's (attacker, honest) revenue in units of q1*p3/(1 - rho);
-    # their sum 1 + rho*(1 - rho), written this way, keeps the share in [0, 1]
-    return gamma * (1.0 - rho) + rho * (2.0 - rho), (1.0 - gamma) * (1.0 - rho)
+def _payouts(rho: float | np.ndarray, d: float | np.ndarray, gamma: float) -> tuple:
+    # the paper ledger's (attacker, honest) revenue in units of q1*p3/q0, d = q0 = 1 - rho;
+    # their sum 1 + rho*d, written this way, keeps the share in [0, 1]
+    return gamma * d + rho * (2.0 - rho), (1.0 - gamma) * d
 
 
 def revenue_rates(dist: StationaryDist, probs: TransitionProbs,
@@ -142,11 +141,11 @@ def revenue_rates(dist: StationaryDist, probs: TransitionProbs,
     r_a = (gamma*q1 + 2*q2 + sum_{k>=3} q_k) * p3
     r_b = (1 - gamma) * q1 * p3
 
-    with q_k = q1 * rho**(k-1): the ``revenue_ratio`` payouts times q1*p3/(1 - rho).
+    with q_k = q1 * rho**(k-1): the ``revenue_ratio`` payouts times q1*p3/q0.
     """
     _require_gamma(gamma)
-    scale = dist.q1 * probs.p3 / (1.0 - dist.rho)
-    attacker, honest = _payouts(dist.rho, gamma)
+    scale = dist.q1 * probs.p3 / dist.q0
+    attacker, honest = _payouts(dist.rho, dist.q0, gamma)
     return attacker * scale, honest * scale
 
 
@@ -159,7 +158,7 @@ def revenue_ratio(rho: float | np.ndarray, gamma: float) -> float | np.ndarray:
     _require_gamma(gamma)
     if not np.all((0.0 <= rho) & (rho < 1.0)):
         raise InvalidParam(f"rho must be in [0, 1), got {rho}")
-    attacker, honest = _payouts(rho, gamma)
+    attacker, honest = _payouts(rho, 1.0 - rho, gamma)
     return attacker / (attacker + honest)
 
 
@@ -168,18 +167,13 @@ def is_profitable(params: MiningParams) -> RevenueReport:
 
     Profitable means the attacker's revenue share exceeds its power share
     ``alpha``, i.e. withholding beats mining honestly.  The distribution is
-    built from rho alone, so it keeps its digits where p2 underflows.
-    Raises DivergentLead when alpha >= 1/2, or when rho rounds to 1 or
-    above just below 1/2.
+    built from ``lead_ratio``'s (rho, d), so it keeps its digits where p2
+    underflows and as alpha -> 1/2.  Raises DivergentLead iff alpha >= 1/2.
     """
     _require_minority(params.alpha)
-    rho = float(lead_ratio(params.alpha, params.lam))
-    if rho >= 1.0:
-        raise DivergentLead(f"rho = p2/p3 rounds to {rho!r} at alpha={params.alpha!r}, "
-                            f"lam={params.lam!r}: no stationary lead distribution in "
-                            "floating point")
+    rho, d = (float(x) for x in lead_ratio(params.alpha, params.lam))
     ratio = revenue_ratio(rho, params.gamma)
-    dist = StationaryDist(rho=rho)
+    dist = StationaryDist(rho=rho, q0=d)
     r_a, r_b = revenue_rates(dist, derive_transition_probs(params), params.gamma)
     return RevenueReport(r_a=r_a, r_b=r_b, ratio=ratio, profitable=ratio > params.alpha,
                          dist=dist)

@@ -23,8 +23,8 @@ the three transition probabilities of the private-lead state machine:
 An attacker-only round opens a lead as often as it extends one, so the
 lead law is geometric, ``q_k = (1 - rho) * rho**k``.  The leftover mass
 ``(1 - p_attacker) * (1 - p_honest)`` is the idle self-loop.
-``lead_ratio`` gives ``rho = p2 / p3``, which alone sets the lead law and
-the revenue share, even where p2 and p3 underflow.
+``lead_ratio`` gives ``rho = p2 / p3`` and ``d = 1 - rho``, which set the
+lead law and the revenue share even where p2 and p3 underflow or alpha -> 1/2.
 
 The Poisson split is the one modelling assumption added here on top of the
 protocol parameters: proof-of-work inter-solution times are exponential,
@@ -158,20 +158,24 @@ def derive_transition_probs(params: MiningParams) -> TransitionProbs:
     )
 
 
-def lead_ratio(alpha: float | np.ndarray, lam: float | np.ndarray) -> np.float64 | np.ndarray:
-    """rho = p2 / p3 = expm1(a) / expm1(b), with a = alpha*lam and b = (1-alpha)*lam.
+def lead_ratio(alpha: float | np.ndarray, lam: float | np.ndarray) -> tuple:
+    """(rho, d): rho = p2/p3 = expm1(a)/expm1(b), d = 1 - rho, a = alpha*lam, b = (1-alpha)*lam.
 
-    Takes floats or broadcast arrays, unvalidated, and returns a numpy
-    scalar or array.  Evaluated as exp(a - b) * (a / b) * f(a) / f(b) with
-    f(x) = (1 - exp(-x)) / x, which cannot overflow and loses no digits
-    when a falls below the normal range.
+    Takes floats or broadcast arrays, unvalidated; returns numpy scalars or
+    arrays.  With f(x) = (1 - exp(-x)) / x, which cannot overflow, rho =
+    exp(a - b) * (a / b) * f(a) / f(b) keeps its digits when a is subnormal
+    and d = ((b - a) / b) * f(b - a) / f(b).  The one below 1/2 comes from its
+    form and the other is 1 minus it, so rho < 1 and d > 0 for all alpha < 1/2.
     """
     def f(x: np.ndarray) -> np.ndarray:
         return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0.0)
 
     # f's temporaries are freed before the next call, which holds down the peak of a large scan
-    return (np.exp((2.0 * alpha - 1.0) * lam) * alpha / (1.0 - alpha)
-            * f(alpha * lam) / f((1.0 - alpha) * lam))
+    f_b = f((1.0 - alpha) * lam)
+    rho = np.exp((2.0 * alpha - 1.0) * lam) * alpha / (1.0 - alpha) * f(alpha * lam) / f_b
+    d = (1.0 - 2.0 * alpha) / (1.0 - alpha) * f((1.0 - 2.0 * alpha) * lam) / f_b
+    low = rho < 0.5
+    return np.where(low, rho, 1.0 - d), np.where(low, 1.0 - rho, d)
 
 
 def apply_fix(params: MiningParams, header_multiplier: float) -> MiningParams:

@@ -80,7 +80,7 @@ def _thresholds(lams: Sequence[float], gamma: float, tol: float) -> list[Thresho
 
     def profitable(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
         # no probe comes within ALPHA_GUARD of 1/2, so rho stays below 0.9997
-        return revenue_ratio(lead_ratio(alpha, lam), gamma) > alpha
+        return revenue_ratio(lead_ratio(alpha, lam)[0], gamma) > alpha
 
     low, high = ALPHA_GUARD, 0.5 - ALPHA_GUARD
     step = (high - low) / (GRID_POINTS - 1)

@@ -98,7 +98,7 @@ def test_revenue_ratio_golden_case():
 def test_revenue_ratio_convention_at_degenerate_dist():
     # the share depends on rho alone, and gamma is its only continuous value
     # at rho = 0: an attacker that mines however rarely wins gamma of its races
-    dist = StationaryDist(rho=0.0)
+    dist = StationaryDist(rho=0.0, q0=1.0)
     assert revenue_ratio(dist.rho, 0.5) == 0.5
     assert revenue_ratio(dist.rho, 0.0) == 0.0
 
@@ -245,10 +245,16 @@ def test_oracle_truncation_rule(rho, entries):
         assert rho ** K <= 1e-13
 
 
-@pytest.mark.parametrize("rho", [1.0, -0.1, float("nan")])
-def test_stationary_dist_validation(rho):
+@pytest.mark.parametrize("rho, q0", [
+    (1.0, 0.0), (-0.1, 1.1), (float("nan"), 0.5),
+    (0.3, 0.6),                # does not sum to 1
+    (1.0 - 2.0 ** -53, 0.0),   # sums to 1 within 2**-52, but leaves state 0 no mass
+    (0.0, 1.0 + 2.0 ** -52),   # sums to 1 within 2**-52, but q0 exceeds 1
+    (0.5, float("nan")),
+])
+def test_stationary_dist_validation(rho, q0):
     with pytest.raises(InvalidParam, match="rho must be in"):
-        StationaryDist(rho=rho)
+        StationaryDist(rho=rho, q0=q0)
 
 
 def test_revenue_gamma_validation():

@@ -6,6 +6,7 @@ no floating-point steps with the package.  Relative accuracy is checked
 wherever the reference value is a normal double.
 """
 
+import json
 import sys
 
 import mpmath
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from selfishlab.cli import run
 from selfishlab.errors import DivergentLead
 from selfishlab.markov import is_profitable, revenue_ratio
-from selfishlab.probmodel import MiningParams, lead_ratio
+from selfishlab.probmodel import MiningParams
 from selfishlab.sweep import profit_threshold
 
 DIGITS = 60
@@ -28,7 +29,10 @@ gammas = st.floats(min_value=0.0, max_value=1.0)
 rhos = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 
 BELOW_HALF = 0.49999999999999994  # one ulp below 1/2
-REFUSED_LAM = 0.60988  # one of refused_lams(): rho at BELOW_HALF rounds to 1
+REFUSED_LAM = 0.60988  # one of refused_lams(): rho's product formula rounds to 1 at BELOW_HALF
+# alpha = 1/2 - 10**-u, u ~ U(1, 17); past u ~ 16.5 that rounds to 1/2, so it stops at BELOW_HALF
+near_half = st.floats(min_value=1.0, max_value=17.0).map(
+    lambda u: min(0.5 - 10.0 ** -u, BELOW_HALF))
 
 
 def reference_share(alpha, lam, gamma):
@@ -39,17 +43,22 @@ def reference_share(alpha, lam, gamma):
 
 
 def reference_rates(alpha, lam, gamma):
+    """(q0, q1, r_a, r_b) from the balance equations of the lead chain.
+
+    p2 and p3 are each one side's find times the other's miss, exp(-x): the
+    miss written as 1 - p_find cancels even at 60 digits once x passes about 138.
+    """
     with mpmath.workdps(DIGITS):
         a, l, g = mpmath.mpf(alpha), mpmath.mpf(lam), mpmath.mpf(gamma)
         p_attacker, p_honest = -mpmath.expm1(-a * l), -mpmath.expm1(-(1 - a) * l)
-        p0 = p2 = p_attacker * (1 - p_honest)
-        p3 = (1 - p_attacker) * p_honest
-        q0 = (p3 - p2) / (p3 - p2 + p0)
-        q1 = p0 / p3 * q0
+        p2 = p_attacker * mpmath.exp(-(1 - a) * l)
+        p3 = mpmath.exp(-a * l) * p_honest
+        q0 = (p3 - p2) / p3
+        q1 = p2 / p3 * q0
         q2 = q1 * p2 / p3
         r_a = (g * q1 + 2 * q2 + (1 - q0 - q1 - q2)) * p3
         r_b = (1 - g) * q1 * p3
-        return r_a, r_b
+        return q0, q1, r_a, r_b
 
 
 def relative_error(value, reference):
@@ -61,22 +70,12 @@ def share_bound(lam):
     return 1e-13 if lam <= 100.0 else 1e-12
 
 
-def report_unless_refused(alpha, lam, gamma):
-    """The report, or None where rho rounds to 1 and is_profitable refused as documented."""
-    params = MiningParams(alpha=alpha, lam=lam, gamma=gamma)
-    if float(lead_ratio(alpha, lam)) >= 1.0:
-        with pytest.raises(DivergentLead, match="rounds to"):
-            is_profitable(params)
-        return None
-    return is_profitable(params)
-
-
 @settings(max_examples=500, derandomize=True, deadline=None)
 @given(alphas, lams, gammas)
 @example(BELOW_HALF, REFUSED_LAM, 0.0)
 def test_share_is_a_fraction(alpha, lam, gamma):
-    report = report_unless_refused(alpha, lam, gamma)
-    assert report is None or 0.0 <= report.ratio <= 1.0
+    report = is_profitable(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
+    assert 0.0 <= report.ratio <= 1.0
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
@@ -90,11 +89,10 @@ def test_share_is_non_decreasing_in_rho(rho_a, rho_b, gamma):
 @given(alphas, lams, gammas)
 @example(BELOW_HALF, REFUSED_LAM, 0.0)
 def test_share_matches_reference(alpha, lam, gamma):
-    report = report_unless_refused(alpha, lam, gamma)
-    if report is not None:
-        reference = reference_share(alpha, lam, gamma)
-        assume(reference >= sys.float_info.min)
-        assert relative_error(report.ratio, reference) <= share_bound(lam)
+    report = is_profitable(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
+    reference = reference_share(alpha, lam, gamma)
+    assume(reference >= sys.float_info.min)
+    assert relative_error(report.ratio, reference) <= share_bound(lam)
 
 
 @pytest.mark.parametrize("alpha,lam,gamma,expected", [
@@ -114,18 +112,29 @@ def test_share_regression_points(alpha, lam, gamma, expected):
 
 
 def refused_lams():
-    # the lambdas of a scan where rho, one ulp below 1/2, rounds to 1 or above
-    lams = np.linspace(0.01, 50.0, 5001)
-    return lams[lead_ratio(BELOW_HALF, lams) >= 1.0].tolist()
+    # the lambdas of a scan where rho's product formula, one ulp below 1/2, rounds
+    # to 1 or above; is_profitable refused these while it formed q0 as 1 - rho
+    def f(x):
+        return -np.expm1(-x) / x
+
+    alpha, lams = BELOW_HALF, np.linspace(0.01, 50.0, 5001)
+    rho = (np.exp((2.0 * alpha - 1.0) * lams) * alpha / (1.0 - alpha)
+           * f(alpha * lams) / f((1.0 - alpha) * lams))
+    return lams[rho >= 1.0].tolist()
 
 
-def test_report_refuses_rho_rounded_to_one():
-    # the distribution would not normalize, which is a model error, not bad input
+def test_report_answers_where_rho_rounded_to_one():
+    # d = 1 - rho comes from its own closed form, so the law exists below 1/2
     lams = refused_lams()
     assert REFUSED_LAM in lams
     for lam in lams:
-        with pytest.raises(DivergentLead, match="rounds to"):
-            is_profitable(MiningParams(alpha=BELOW_HALF, lam=lam, gamma=0.0))
+        report = is_profitable(MiningParams(alpha=BELOW_HALF, lam=lam, gamma=0.0))
+        q0, q1, ref_a, ref_b = reference_rates(BELOW_HALF, lam, 0.0)
+        assert report.dist.rho < 1.0
+        assert relative_error(report.dist.q0, q0) <= 1e-15
+        for value, reference in ((report.dist.q1, q1), (report.r_a, ref_a), (report.r_b, ref_b)):
+            assert relative_error(value, reference) <= 1e-13
+        assert relative_error(report.ratio, reference_share(BELOW_HALF, lam, 0.0)) <= 1e-13
     with pytest.raises(DivergentLead, match="attacker majority"):
         is_profitable(MiningParams(alpha=0.5, lam=1.0, gamma=0.0))
 
@@ -141,9 +150,6 @@ def test_report_distribution_uses_the_same_rho():
     assert report.ratio == report.dist.rho * 2.0
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 14: q0 = 1 - rho is formed from a rounded rho, "
-                          "so it cancels as alpha -> 1/2")
 @pytest.mark.parametrize("alpha", [0.5 - 1e-12, 0.5 - 1e-14])
 def test_q0_keeps_its_digits_near_half(alpha):
     report = is_profitable(MiningParams(alpha=alpha, lam=1.0))
@@ -156,15 +162,26 @@ def test_q0_keeps_its_digits_near_half(alpha):
 @pytest.mark.parametrize("alpha,lam,gamma", [
     (0.3, 1.0, 0.5), (0.3, 50.0, 0.0), (0.1, 2.0, 0.0), (0.45, 0.5, 1.0),
     (0.49, 5.0, 0.25), (1e-6, 1.0, 0.7), (0.2, 100.0, 0.5),
+    (0.5 - 1e-12, 1.0, 0.5), (0.5 - 1e-14, 5.0, 0.0),
 ])
 def test_revenue_rates_match_reference(alpha, lam, gamma):
     report = is_profitable(MiningParams(alpha=alpha, lam=lam, gamma=gamma))
-    ref_a, ref_b = reference_rates(alpha, lam, gamma)
+    _, _, ref_a, ref_b = reference_rates(alpha, lam, gamma)
     assert relative_error(report.r_a, ref_a) <= 1e-13
     if gamma == 1.0:
         assert report.r_b == 0.0
     else:
         assert relative_error(report.r_b, ref_b) <= 1e-13
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(near_half, lams)
+@example(BELOW_HALF, REFUSED_LAM)
+def test_law_and_rates_keep_their_digits_near_half(alpha, lam):
+    report = is_profitable(MiningParams(alpha=alpha, lam=lam))
+    q0, q1, _, r_b = reference_rates(alpha, lam, 0.5)
+    for value, reference in ((report.dist.q0, q0), (report.dist.q1, q1), (report.r_b, r_b)):
+        assert relative_error(value, reference) <= 1e-13
 
 
 def profit_margin(alpha, lam, gamma):
@@ -186,6 +203,7 @@ def test_threshold_brackets_the_reference_crossing(lam, alpha_star):
     ["analyze", "--alpha", "0.4999999999", "--lambda", "1"],
     ["analyze", "--alpha", "0.49999999999999994", "--lambda", "1"],
     ["analyze", "--alpha", "0.49999999999999994", "--lambda", "0.5"],
+    ["analyze", "--alpha", "0.49999999999999994", "--lambda", "0.60988"],
     ["analyze", "--alpha", "0.2", "--lambda", "1000"],
     ["threshold", "--lambda", "100", "--gamma", "0"],
 ])
@@ -194,7 +212,14 @@ def test_cli_accepts_former_failures(capsys, argv):
     assert capsys.readouterr().err == ""
 
 
-def test_cli_rho_rounded_to_one_is_a_model_error(capsys):
-    lam = refused_lams()[0]
-    assert run(["analyze", "--alpha", repr(BELOW_HALF), "--lambda", repr(lam)]) == 3
-    assert "rounds to 1.0" in capsys.readouterr().err
+def test_cli_analyzes_where_rho_rounded_to_one(capsys):
+    # exit 3 here once; analyze now prints the law and the rates at each refused lambda
+    for lam in refused_lams():
+        argv = ["analyze", "--alpha", repr(BELOW_HALF), "--lambda", repr(lam), "--format", "json"]
+        assert run(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        q0, q1, ref_a, ref_b = reference_rates(BELOW_HALF, lam, 0.5)
+        assert results["rho"] < 1.0
+        assert relative_error(results["q0"], q0) <= 1e-15
+        for key, reference in (("q1", q1), ("r_a", ref_a), ("r_b", ref_b)):
+            assert relative_error(results[key], reference) <= 1e-13
