@@ -32,7 +32,8 @@ so solution counts over a fixed tenure are Poisson and thin independently
 by power share.  Everything downstream (stationary analysis, simulation,
 sweeps) consumes only ``(alpha, lam, gamma)``.  The protocol knobs enter
 only through ``lambda_from_protocol(tenure, difficulty, hashrate)``, the
-one place that checks them.
+one place that checks them; it takes floats or broadcast arrays, so a
+sweep takes its whole lambda grid from one call.
 """
 
 from __future__ import annotations
@@ -127,13 +128,29 @@ class TransitionProbs:
                  f"p1 + p2 + p3 must not exceed 1, got {self.p1 + self.p2 + self.p3}")
 
 
-def lambda_from_protocol(tenure: float, difficulty: float, hashrate: float) -> float:
+def lambda_from_protocol(tenure: float | np.ndarray, difficulty: float | np.ndarray,
+                         hashrate: float | np.ndarray) -> float | np.ndarray:
     """Expected header discoveries per round: tenure * hashrate / difficulty.
 
     tenure is the leader tenure in seconds, difficulty the expected hashes per
     header solution and hashrate the network's hashes per second.  Each must
     be a positive real, and the lambda they give must be finite and positive.
+    Floats give a float.  Broadcast arrays give a float64 array of their
+    broadcast shape, computed by the same product and quotient, and raise
+    the float call's InvalidParam for the first bad cell in row-major order.
     """
+    if np.ndim(tenure) or np.ndim(difficulty) or np.ndim(hashrate):
+        cells = np.broadcast_arrays(*(np.asarray(x, dtype=float)
+                                      for x in (tenure, difficulty, hashrate)))
+        with np.errstate(all="ignore"):
+            lam = cells[0] * cells[2] / cells[1]
+        good = (lam > 0.0) & (lam < math.inf)
+        for axis in cells:
+            good &= (axis > 0.0) & (axis < math.inf)
+        if good.all():
+            return lam
+        # the float call on the first bad cell raises its own message
+        tenure, difficulty, hashrate = (axis.flat[good.argmin()].item() for axis in cells)
     for name, value in (("tenure", tenure), ("difficulty", difficulty), ("hashrate", hashrate)):
         _require(math.isfinite(value) and value > 0.0,
                  f"{name} must be a positive real, got {value}")
@@ -158,6 +175,9 @@ def derive_transition_probs(params: MiningParams) -> TransitionProbs:
     )
 
 
+_TINY = np.finfo(float).tiny
+
+
 def lead_ratio(alpha: float | np.ndarray, lam: float | np.ndarray) -> tuple:
     """(rho, d): rho = p2/p3 = expm1(a)/expm1(b), d = 1 - rho, a = alpha*lam, b = (1-alpha)*lam.
 
@@ -168,7 +188,9 @@ def lead_ratio(alpha: float | np.ndarray, lam: float | np.ndarray) -> tuple:
     form and the other is 1 minus it, so rho < 1 and d > 0 for all alpha < 1/2.
     """
     def f(x: np.ndarray) -> np.ndarray:
-        return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0.0)
+        # |x| below the smallest normal double (0 too) reads as 1, its limit
+        x = np.copysign(np.maximum(np.abs(x), _TINY), x)
+        return -np.expm1(-x) / x
 
     # f's temporaries are freed before the next call, which holds down the peak of a large scan
     f_b = f((1.0 - alpha) * lam)

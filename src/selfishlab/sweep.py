@@ -7,10 +7,12 @@ alpha that is profitable, and bisection refines the bracket below it.
 ``resistance_sweep`` maps that threshold over a grid of protocol
 parameters, since tenure length and header difficulty determine the round
 intensity and therefore the whole attack model.  It checks its two axes
-and gamma itself, and takes each cell's lambda from
-``probmodel.lambda_from_protocol``, which checks the protocol triple.
+and gamma itself, and takes its whole lambda grid from one call of
+``probmodel.lambda_from_protocol`` on the broadcast axes, which checks
+every protocol triple.
 
-Both run one search, ``_thresholds``, over an array of lambdas at once.
+Both run one search, ``_thresholds``, over an array of lambdas at once; it
+returns arrays, and ``profit_threshold`` builds the one ``ThresholdResult``.
 The scan evaluates the share on a (GRID_POINTS, lambdas) array, and the
 open brackets are bisected in lock step, each until its width is at most
 ``tol``.  Each probe evaluates the share with ``probmodel.lead_ratio`` and
@@ -22,6 +24,7 @@ one-lambda-at-a-time search through ``is_profitable``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -74,10 +77,13 @@ class SweepCell:
     alpha_star: float
 
 
-def _thresholds(lams: Sequence[float], gamma: float, tol: float) -> list[ThresholdResult]:
-    """Threshold search for every lambda at once; inputs are validated by the callers."""
-    lams = np.asarray(lams, dtype=float)
+def _thresholds(lams: np.ndarray, gamma: float,
+                tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha_star, bracket low, bracket high, evaluations), one entry per lambda.
 
+    The threshold search for a float64 array of lambdas at once; the callers
+    validate its inputs.
+    """
     def profitable(alpha: np.ndarray, lam: np.ndarray) -> np.ndarray:
         # no probe comes within ALPHA_GUARD of 1/2, so rho stays below 0.9997
         return revenue_ratio(lead_ratio(alpha, lam)[0], gamma) > alpha
@@ -105,8 +111,7 @@ def _thresholds(lams: Sequence[float], gamma: float, tol: float) -> list[Thresho
     closed = crossing == 0
     edge = np.where(values[0], 0.0, 0.5)
     lo, hi = np.where(closed, edge, lo), np.where(closed, edge, hi)
-    return [ThresholdResult(alpha_star=0.5 * (l + h), bracket=(l, h), evaluations=n)
-            for l, h, n in zip(lo.tolist(), hi.tolist(), evaluations.tolist())]
+    return 0.5 * (lo + hi), lo, hi, evaluations
 
 
 def profit_threshold(lam: float, gamma: float, tol: float = _TOL) -> ThresholdResult:
@@ -115,7 +120,9 @@ def profit_threshold(lam: float, gamma: float, tol: float = _TOL) -> ThresholdRe
     _require_gamma(gamma)
     if not (math.isfinite(tol) and tol >= 1e-8):
         raise InvalidParam(f"tol must be at least 1e-8, got {tol}")
-    return _thresholds([lam], gamma, tol)[0]
+    alpha_star, lo, hi, evaluations = _thresholds(np.array([lam], dtype=float), gamma, tol)
+    return ThresholdResult(alpha_star=alpha_star.item(), bracket=(lo.item(), hi.item()),
+                           evaluations=evaluations.item())
 
 
 def resistance_sweep(tenures: Sequence[float], difficulties: Sequence[float],
@@ -123,12 +130,13 @@ def resistance_sweep(tenures: Sequence[float], difficulties: Sequence[float],
     """Threshold table over tenures x difficulties, row-major with tenure outermost.
 
     Each axis must be nonempty and strictly increasing, and gamma in [0, 1];
-    ``lambda_from_protocol`` checks every (tenure, difficulty, hashrate)
-    triple and the lam it gives, and raises InvalidParam when a lam
-    overflows or underflows.  The round intensity is a sufficient statistic
-    for the threshold, so one lock-step search runs over the sorted distinct
-    lam values, at ``profit_threshold``'s default tolerance; cells sharing a
-    lam value share their alpha_star bit for bit.
+    one ``lambda_from_protocol`` call checks every (tenure, difficulty,
+    hashrate) triple and the lam it gives, and raises InvalidParam for the
+    first bad cell in table order, such as one whose lam overflows or
+    underflows.  The round intensity is a sufficient statistic for the
+    threshold, so one lock-step search runs over the sorted distinct lam
+    values, at ``profit_threshold``'s default tolerance; cells sharing a lam
+    value share their alpha_star bit for bit.
     """
     for name, axis in (("tenures", tenures), ("difficulties", difficulties)):
         if len(axis) == 0:
@@ -136,10 +144,11 @@ def resistance_sweep(tenures: Sequence[float], difficulties: Sequence[float],
         if any(b <= a for a, b in zip(axis, axis[1:])):
             raise InvalidParam(f"{name} must be strictly increasing, got {axis}")
     _require_gamma(gamma)
-    cells = [(tenure, difficulty, lambda_from_protocol(tenure, difficulty, hashrate))
-             for tenure in tenures for difficulty in difficulties]
-    distinct = sorted({lam for _, _, lam in cells})
-    found = _thresholds(distinct, gamma, _TOL)
-    alpha_star = {lam: result.alpha_star for lam, result in zip(distinct, found)}
-    return [SweepCell(tenure=tenure, difficulty=difficulty, lam=lam, alpha_star=alpha_star[lam])
-            for tenure, difficulty, lam in cells]
+    tenures, difficulties = np.asarray(tenures, dtype=float), np.asarray(difficulties, dtype=float)
+    lams = lambda_from_protocol(tenures[:, None], difficulties, hashrate).ravel()
+    distinct, cell_lam = np.unique(lams, return_inverse=True)
+    alpha_star = _thresholds(distinct, gamma, _TOL)[0][cell_lam]
+    return [SweepCell(tenure=tenure, difficulty=difficulty, lam=lam, alpha_star=star)
+            for (tenure, difficulty), lam, star in zip(
+                itertools.product(tenures.tolist(), difficulties.tolist()),
+                lams.tolist(), alpha_star.tolist())]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfishlab.errors import InvalidParam
 from selfishlab.probmodel import (
@@ -10,6 +12,7 @@ from selfishlab.probmodel import (
     apply_fix,
     derive_transition_probs,
     lambda_from_protocol,
+    lead_ratio,
     round_success_probs,
 )
 
@@ -41,6 +44,97 @@ def test_lambda_from_protocol_rejects_nonpositive(name, value):
 def test_lambda_from_protocol_rejects_overflow_and_underflow(kwargs, message):
     with pytest.raises(InvalidParam, match=message):
         lambda_from_protocol(**kwargs)
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def test_lambda_from_protocol_array_matches_float_calls():
+    rng = np.random.default_rng(29)
+    tenures = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), (20, 1)))
+    difficulties = np.exp(rng.uniform(math.log(1e3), math.log(1e15), 20))
+    hashrates = np.exp(rng.uniform(math.log(1e-3), math.log(1e12), (20, 20)))
+    lam = lambda_from_protocol(tenures, difficulties, hashrates)
+    assert lam.shape == (20, 20) and lam.dtype == np.float64
+    expected = [[lambda_from_protocol(t, d, h) for d, h in zip(difficulties.tolist(), row)]
+                for t, row in zip(tenures[:, 0].tolist(), hashrates.tolist())]
+    assert _bits(lam) == _bits(expected)
+    assert all(type(x) is float for row in expected for x in row)
+
+
+def _first_float_error(tenures, difficulties, hashrate) -> str:
+    """The message of the first float call that raises, in row-major order."""
+    for tenure in tenures:
+        for difficulty in difficulties:
+            try:
+                lambda_from_protocol(tenure, difficulty, hashrate)
+            except InvalidParam as error:
+                return str(error)
+    raise AssertionError("no cell of the grid is bad")
+
+
+# each grid has later bad cells of another kind, so only the first one may
+# name the error
+@pytest.mark.parametrize("tenures,difficulties,hashrate,message", [
+    # (1, 1) overflows; tenure -1 is bad too
+    ([1.0, 1e300, -1.0], [1.0, 1e-300, 2.0], 1e6, "lam must be finite, got inf"),
+    # (0, 1) underflows; tenure 0 is bad too
+    ([1.0, 1e-300, 0.0], [1.0, 1e300, 2.0], 1e-30, "lam must be positive, got 0.0"),
+    # (0, 1) has a negative difficulty; (1, 2) overflows
+    ([1.0, 1e300], [1.0, -2.0, 1e-300], 1e6, "difficulty must be a positive real, got -2.0"),
+    # (0, 0) has two negative inputs, whose lam is positive; (1, 0) has tenure 0
+    ([-1.0, 0.0], [-2.0], 1e6, "tenure must be a positive real, got -1.0"),
+])
+def test_lambda_from_protocol_array_raises_first_float_error(tenures, difficulties, hashrate,
+                                                            message):
+    assert _first_float_error(tenures, difficulties, hashrate) == message
+    with pytest.raises(InvalidParam) as raised:
+        lambda_from_protocol(np.array(tenures)[:, None], np.array(difficulties), hashrate)
+    assert str(raised.value) == message
+
+
+def _lead_ratio_masked(alpha, lam):
+    """lead_ratio with f written as a masked divide, which sets f(0) = 1 explicitly."""
+    def f(x):
+        return np.divide(-np.expm1(-x), x, out=np.ones_like(x), where=x != 0.0)
+
+    f_b = f((1.0 - alpha) * lam)
+    rho = np.exp((2.0 * alpha - 1.0) * lam) * alpha / (1.0 - alpha) * f(alpha * lam) / f_b
+    d = (1.0 - 2.0 * alpha) / (1.0 - alpha) * f((1.0 - 2.0 * alpha) * lam) / f_b
+    low = rho < 0.5
+    return np.where(low, rho, 1.0 - d), np.where(low, 1.0 - rho, d)
+
+
+def _assert_same_lead_ratio(alpha, lam):
+    # far above alpha = 1/2, exp((2 alpha - 1) lam) overflows to inf in both forms
+    with np.errstate(over="ignore"):
+        got, want = lead_ratio(alpha, lam), _lead_ratio_masked(alpha, lam)
+    assert [_bits(x) for x in got] == [_bits(x) for x in want]
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(alpha=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       lam=st.floats(min_value=-12.0, max_value=3.0).map(lambda e: 10.0 ** e))
+def test_lead_ratio_matches_masked_divide(alpha, lam):
+    _assert_same_lead_ratio(alpha, lam)
+
+
+@pytest.mark.parametrize("alpha,lam", [
+    (5e-324, 1e-12),   # alpha * lam underflows to 0
+    (1e-310, 1.0),     # alpha * lam is subnormal
+])
+def test_lead_ratio_matches_masked_divide_below_the_smallest_normal(alpha, lam):
+    assert 0.0 <= alpha * lam < np.finfo(float).tiny
+    _assert_same_lead_ratio(alpha, lam)
+
+
+def test_lead_ratio_matches_masked_divide_on_arrays():
+    rng = np.random.default_rng(31)
+    alpha = np.concatenate([rng.uniform(0.0, 1.0, 20_000),
+                            rng.uniform(0.0, 1.0, 1_000) * np.finfo(float).tiny])
+    lam = 10.0 ** rng.uniform(-12.0, 3.0, alpha.size)
+    _assert_same_lead_ratio(alpha, lam)
 
 
 @pytest.mark.parametrize("kwargs", [

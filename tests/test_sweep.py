@@ -11,7 +11,7 @@ import selfishlab.sweep
 from selfishlab.errors import InvalidParam
 from selfishlab.markov import is_profitable
 from selfishlab.probmodel import MiningParams
-from selfishlab.sweep import _thresholds, profit_threshold, resistance_sweep
+from selfishlab.sweep import ThresholdResult, _thresholds, profit_threshold, resistance_sweep
 from threshold_reference import profit_threshold as reference_threshold
 
 GAMMAS = (0.0, 0.1, 0.25, 0.4, 0.5, 0.7, 1.0)
@@ -21,6 +21,14 @@ EXTREME_LAMS = (5e-324, 1e-300, 1e-12, 1e5, 1e300)
 
 def _log_uniform(rng, low, high, size):
     return np.exp(rng.uniform(math.log(low), math.log(high), size))
+
+
+def _search(lams, gamma, tol):
+    """The lock-step search's arrays, one ThresholdResult per lambda as the reference gives."""
+    alpha_star, lo, hi, evaluations = _thresholds(np.asarray(lams, dtype=float), gamma, tol)
+    return [ThresholdResult(alpha_star=a, bracket=(l, h), evaluations=n)
+            for a, l, h, n in zip(alpha_star.tolist(), lo.tolist(), hi.tolist(),
+                                  evaluations.tolist())]
 
 
 def test_sweep_imports_no_private_name_from_markov():
@@ -106,6 +114,9 @@ def test_sweep_order_and_lambda_sufficiency():
     cells = resistance_sweep((60.0, 120.0), (6e7, 1.2e8), 1e6, 0.0)
     assert [(c.tenure, c.difficulty) for c in cells] == [
         (60.0, 6e7), (60.0, 1.2e8), (120.0, 6e7), (120.0, 1.2e8)]
+    # Python floats, not numpy scalars, so the CSV and JSON renderings stay fixed
+    assert all(type(value) is float for c in cells
+               for value in (c.tenure, c.difficulty, c.lam, c.alpha_star))
     by_pair = {(c.tenure, c.difficulty): c for c in cells}
     # (60, 6e7) and (120, 1.2e8) share lam = 1 and must share the threshold
     assert by_pair[(60.0, 6e7)].lam == by_pair[(120.0, 1.2e8)].lam == 1.0
@@ -135,14 +146,14 @@ def test_sweep_rejects_lambda_out_of_range():
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_search_matches_reference_on_log_uniform_lambdas(gamma, tol):
     lams = _log_uniform(np.random.default_rng([5, TOLS.index(tol)]), 1e-12, 1e3, 40).tolist()
-    assert _thresholds(lams, gamma, tol) == [reference_threshold(lam, gamma, tol)
+    assert _search(lams, gamma, tol) == [reference_threshold(lam, gamma, tol)
                                              for lam in lams]
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_search_matches_reference_at_extreme_lambdas(gamma):
     for tol in TOLS:
-        assert _thresholds(EXTREME_LAMS, gamma, tol) == [
+        assert _search(EXTREME_LAMS, gamma, tol) == [
             reference_threshold(lam, gamma, tol) for lam in EXTREME_LAMS]
         for lam in EXTREME_LAMS:
             assert profit_threshold(lam, gamma, tol) == reference_threshold(lam, gamma, tol)
@@ -154,7 +165,7 @@ def test_search_matches_reference_at_extreme_lambdas(gamma):
        gamma=st.floats(min_value=0.0, max_value=1.0),
        tol=st.floats(min_value=1e-8, max_value=1e-2))
 def test_search_matches_reference_on_arbitrary_inputs(lams, gamma, tol):
-    assert _thresholds(lams, gamma, tol) == [reference_threshold(lam, gamma, tol)
+    assert _search(lams, gamma, tol) == [reference_threshold(lam, gamma, tol)
                                              for lam in lams]
 
 
