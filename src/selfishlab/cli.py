@@ -335,24 +335,26 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
 # ---------------------------------------------------------------------------
 # rendering
 
-def _fmt(value: Any) -> str:
+def _fmt(value: Any, exact: bool = False) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.12g}"
+        text = f"{value:.12g}"
+        # an exact echo falls back to repr where 12 digits do not read back as the value
+        return repr(value) if exact and float(text) != value else text
     return str(value)
 
 
-def _kv_lines(mapping: dict[str, Any], indent: str = "  ") -> list[str]:
+def _kv_lines(mapping: dict[str, Any], indent: str = "  ", exact: bool = False) -> list[str]:
     lines = []
     for key, value in mapping.items():
         if isinstance(value, dict):
             lines.append(f"{indent}{key}:")
-            lines.extend(_kv_lines(value, indent + "  "))
+            lines.extend(_kv_lines(value, indent + "  ", exact))
         elif isinstance(value, list):
-            lines.append(f"{indent}{key} = {', '.join(_fmt(v) for v in value)}")
+            lines.append(f"{indent}{key} = {', '.join(_fmt(v, exact) for v in value)}")
         else:
-            lines.append(f"{indent}{key} = {_fmt(value)}")
+            lines.append(f"{indent}{key} = {_fmt(value, exact)}")
     return lines
 
 
@@ -365,7 +367,7 @@ def _table_lines(rows: list[dict[str, Any]]) -> list[str]:
 
 
 def _human(command: str, inputs: dict, results: dict) -> str:
-    lines = [f"command: {command}", "inputs:", *_kv_lines(inputs), "results:"]
+    lines = [f"command: {command}", "inputs:", *_kv_lines(inputs, exact=True), "results:"]
     if command == "sweep":
         lines.extend("  " + line for line in _table_lines(results["cells"]))
     elif command == "verify":

@@ -32,8 +32,9 @@ so solution counts over a fixed tenure are Poisson and thin independently
 by power share.  Everything downstream (stationary analysis, simulation,
 sweeps) consumes only ``(alpha, lam, gamma)``.  The protocol knobs enter
 only through ``lambda_from_protocol(tenure, difficulty, hashrate)``, the
-one place that checks them; it takes floats or broadcast arrays, so a
-sweep takes its whole lambda grid from one call.
+one place that checks them.  It has one path: its inputs broadcast as
+float64 arrays, a scalar triple is the 0-d case, and a sweep takes its
+whole lambda grid from one call.
 """
 
 from __future__ import annotations
@@ -135,28 +136,24 @@ def lambda_from_protocol(tenure: float | np.ndarray, difficulty: float | np.ndar
     tenure is the leader tenure in seconds, difficulty the expected hashes per
     header solution and hashrate the network's hashes per second.  Each must
     be a positive real, and the lambda they give must be finite and positive.
-    Floats give a float.  Broadcast arrays give a float64 array of their
-    broadcast shape, computed by the same product and quotient, and raise
-    the float call's InvalidParam for the first bad cell in row-major order.
+    Inputs are cast to float64 and broadcast; a scalar triple is the 0-d case
+    and gives a Python float, arrays give an array of their broadcast shape.
+    The first bad cell in row-major order names its fault in InvalidParam.
     """
-    if np.ndim(tenure) or np.ndim(difficulty) or np.ndim(hashrate):
-        cells = np.broadcast_arrays(*(np.asarray(x, dtype=float)
-                                      for x in (tenure, difficulty, hashrate)))
-        with np.errstate(all="ignore"):
-            lam = cells[0] * cells[2] / cells[1]
-        good = (lam > 0.0) & (lam < math.inf)
-        for axis in cells:
-            good &= (axis > 0.0) & (axis < math.inf)
-        if good.all():
-            return lam
-        # the float call on the first bad cell raises its own message
-        tenure, difficulty, hashrate = (axis.flat[good.argmin()].item() for axis in cells)
-    for name, value in (("tenure", tenure), ("difficulty", difficulty), ("hashrate", hashrate)):
-        _require(math.isfinite(value) and value > 0.0,
-                 f"{name} must be a positive real, got {value}")
-    lam = tenure * hashrate / difficulty
-    _require_lam(lam)
-    return lam
+    cells = [np.asarray(x, dtype=float) for x in (tenure, difficulty, hashrate)]
+    with np.errstate(all="ignore"):
+        lam = cells[0] * cells[2] / cells[1]
+    good = (lam > 0.0) & (lam < math.inf)
+    for axis in cells:
+        good &= (axis > 0.0) & (axis < math.inf)
+    if not good.all():
+        first = good.argmin()
+        for name, axis in zip(("tenure", "difficulty", "hashrate"), cells):
+            value = np.broadcast_to(axis, lam.shape).flat[first].item()
+            _require(math.isfinite(value) and value > 0.0,
+                     f"{name} must be a positive real, got {value}")
+        _require_lam(lam.flat[first].item())
+    return lam.item() if lam.ndim == 0 else lam
 
 
 def round_success_probs(params: MiningParams) -> tuple[float, float]:

@@ -86,6 +86,16 @@ def test_analyze_human_output(capsys):
     assert "ratio" in out
 
 
+def test_human_inputs_keep_every_digit(capsys):
+    # 12 significant digits read 0.5 here, an alpha that exits 3; results keep %.12g
+    code = run(["analyze", "--alpha", "0.49999999999999994", "--lambda", "0.60988"])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "\n  alpha = 0.49999999999999994\n" in out
+    assert "\n  lambda = 0.60988\n" in out
+    assert "\n  rho = 1\n" in out
+
+
 def test_simulate_json_matches_library(capsys):
     code, envelope, _ = run_json(capsys, [
         "simulate", "--alpha", "0.3", "--lambda", "1",

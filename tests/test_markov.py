@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,32 @@ def test_revenue_ratio_matches_rates(make_probs):
         r_a, r_b = revenue_rates(dist, probs, gamma)
         ratio = revenue_ratio(dist.rho, gamma)
         assert abs(ratio * (r_a + r_b) - r_a) <= 1e-12
+
+
+def test_printed_rates_agree_with_the_share_where_their_sum_is_normal():
+    # alpha on (0, 1/2), half of it at 1/2 - 10^-u; lambda log-uniform on
+    # [1e-12, 1e3].  Past lambda ~ 700 the rates go subnormal and their
+    # quotient loses digits, so only a normal sum is held to the share.
+    rng = np.random.default_rng(31)
+    n = 20000
+    alphas = np.where(np.arange(n) % 2 == 0, 0.5 * (1.0 - rng.random(n)),
+                      0.5 - 10.0 ** -rng.uniform(1.0, 16.0, n))
+    lams = np.exp(rng.uniform(math.log(1e-12), math.log(1e3), n))
+    gammas = rng.random(n)
+    normal = 0
+    for alpha, lam, gamma in zip(alphas.tolist(), lams.tolist(), gammas.tolist()):
+        if alpha >= 0.5:
+            continue
+        report = is_profitable(MiningParams(alpha, lam, gamma))
+        total = report.r_a + report.r_b
+        if total >= sys.float_info.min:
+            normal += 1
+            assert abs(report.r_a / total - report.ratio) <= 1e-15 * report.ratio
+    assert normal > 0.9 * n
+    # a subnormal pair: r_a = 1.1e-322, r_b = 1e-323, quotient 1.2% off the share
+    report = is_profitable(MiningParams(0.10630117314224885, 829.373459912315, 0.90881489639468))
+    assert 0.0 < report.r_a + report.r_b < sys.float_info.min
+    assert abs(report.r_a / (report.r_a + report.r_b) - report.ratio) > 0.01 * report.ratio
 
 
 def test_revenue_sum_identity(make_probs):

@@ -50,6 +50,62 @@ def _bits(x) -> bytes:
     return np.asarray(x, dtype=np.float64).tobytes()
 
 
+def _float_reference(tenure: float, difficulty: float, hashrate: float) -> float:
+    """lambda_from_protocol written for Python floats alone: the checks in order, then lam."""
+    for name, value in (("tenure", tenure), ("difficulty", difficulty), ("hashrate", hashrate)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise InvalidParam(f"{name} must be a positive real, got {value}")
+    lam = tenure * hashrate / difficulty
+    if not math.isfinite(lam):
+        raise InvalidParam(f"lam must be finite, got {lam}")
+    if not lam > 0.0:
+        raise InvalidParam(f"lam must be positive, got {lam}")
+    return lam
+
+
+def _outcome(call, *triple):
+    """A call's float result or its InvalidParam message, tagged so the two cannot meet."""
+    try:
+        return "value", call(*triple)
+    except InvalidParam as error:
+        return "error", str(error)
+
+
+def _scalar_triples(n: int, seed: int) -> list[tuple[float, float, float]]:
+    """Seeded triples log-uniform over [1e-300, 1e300], so products over- and underflow,
+    with about one entry in six replaced by 0, a negative, nan or +-inf."""
+    rng = np.random.default_rng(seed)
+    values = np.exp(rng.uniform(math.log(1e-300), math.log(1e300), (n, 3)))
+    odd = np.array([0.0, -0.0, -1.0, -1e300, -5e-324, math.nan, math.inf, -math.inf])
+    replace = rng.random((n, 3)) < 1 / 6
+    values[replace] = rng.choice(odd, replace.sum())
+    return [tuple(row) for row in values.tolist()]
+
+
+def test_scalar_triples_keep_the_float_formula_and_its_checks():
+    triples = _scalar_triples(4000, seed=30)
+    outcomes = [_outcome(_float_reference, *triple) for triple in triples]
+    kinds = {outcome[1].split(" must")[0] if outcome[0] == "error" else "value"
+             for outcome in outcomes}
+    # every branch of the reference is taken
+    assert kinds == {"value", "tenure", "difficulty", "hashrate", "lam"}
+    assert any("finite" in outcome[1] for outcome in outcomes if outcome[0] == "error")
+    assert any("positive, got 0.0" in outcome[1] for outcome in outcomes if outcome[0] == "error")
+    for triple, expected in zip(triples, outcomes):
+        got = _outcome(lambda_from_protocol, *triple)
+        assert got[0] == expected[0], triple
+        if expected[0] == "value":
+            assert type(got[1]) is float and _bits(got[1]) == _bits(expected[1]), triple
+        else:
+            assert got[1] == expected[1], triple
+
+
+@pytest.mark.parametrize("wrap", [np.float64, np.array])
+def test_numpy_scalar_triples_give_a_python_float(wrap):
+    lam = lambda_from_protocol(wrap(60.0), wrap(6e7), wrap(1e6))
+    assert type(lam) is float and lam == _float_reference(60.0, 6e7, 1e6)
+
+
 def test_lambda_from_protocol_array_matches_float_calls():
     rng = np.random.default_rng(29)
     tenures = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), (20, 1)))
@@ -57,18 +113,17 @@ def test_lambda_from_protocol_array_matches_float_calls():
     hashrates = np.exp(rng.uniform(math.log(1e-3), math.log(1e12), (20, 20)))
     lam = lambda_from_protocol(tenures, difficulties, hashrates)
     assert lam.shape == (20, 20) and lam.dtype == np.float64
-    expected = [[lambda_from_protocol(t, d, h) for d, h in zip(difficulties.tolist(), row)]
+    expected = [[_float_reference(t, d, h) for d, h in zip(difficulties.tolist(), row)]
                 for t, row in zip(tenures[:, 0].tolist(), hashrates.tolist())]
     assert _bits(lam) == _bits(expected)
-    assert all(type(x) is float for row in expected for x in row)
 
 
 def _first_float_error(tenures, difficulties, hashrate) -> str:
-    """The message of the first float call that raises, in row-major order."""
+    """The message of the first float reference call that raises, in row-major order."""
     for tenure in tenures:
         for difficulty in difficulties:
             try:
-                lambda_from_protocol(tenure, difficulty, hashrate)
+                _float_reference(tenure, difficulty, hashrate)
             except InvalidParam as error:
                 return str(error)
     raise AssertionError("no cell of the grid is bad")
