@@ -179,18 +179,11 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[dict, dict, list[dict], int]:
         if not 0 <= args.mc_seed < 2 ** 64:
             raise InvalidParam(f"--mc-seed must be a 64-bit unsigned integer, got {args.mc_seed}")
         inputs.update(mc_check=args.mc_check, mc_seed=args.mc_seed)
-    rows = []
-    for cell in resistance_sweep(args.tenures, args.difficulties, args.hashrate, args.gamma):
-        row: dict[str, Any] = {
-            "tenure": cell.tenure,
-            "difficulty": cell.difficulty,
-            "lambda": cell.lam,
-            "alpha_star": cell.alpha_star,
-        }
-        if args.mc_check is not None:
-            row.update(_mc_check_cell(cell.lam, cell.alpha_star, args.gamma,
+    rows = resistance_sweep(args.tenures, args.difficulties, args.hashrate, args.gamma)
+    if args.mc_check is not None:
+        for row in rows:
+            row.update(_mc_check_cell(row["lambda"], row["alpha_star"], args.gamma,
                                       args.mc_check, args.mc_seed))
-        rows.append(row)
     return inputs, {"cells": rows}, rows, EXIT_OK
 
 

@@ -171,18 +171,22 @@ def _lead_before(up: np.ndarray, variant: str) -> np.ndarray:
     ``up`` marks the attacker-only steps; the others are honest-only.  The
     last entry is the lead an idle sentinel round after the last step starts at.
     Both variants reflect one walk at 0 whose steps add +1 and -1, except that
-    under "reset" a collapse, the down step from lead 2, adds -2.
+    under "reset" a collapse, the down step from lead 2, adds -2.  A "reset"
+    walk takes at most 2**16 - 1 steps, so that its levels fit in uint16, and
+    raises InvalidConfig for a longer one.
     """
     m = len(up)
     lead = np.zeros(m + 1, dtype=np.int32)
     step = up.view(np.int8) * 2 - 1
     walk = np.cumsum(step, dtype=np.int32, out=lead[1:])  # W after each step
     if variant == "reset":
+        # W spans at most m + 1 levels, which uint16 holds: the sort is a radix sort
+        if m >= 2 ** 16:
+            raise InvalidConfig(f"a reset walk takes at most {2 ** 16 - 1} steps, got {m}")
         # an excursion that collapses opens at a climb s, the first up step of a run
         # of two or more, and collapses at the first later step back at level W_s: a
         # down step from decrement lead >= 2, the next such step or climb at W_s in
-        # (level, index) order.  The reflection takes a tie from lead 1 to 0.  W spans
-        # m + 1 <= CHUNK_ROUNDS + 1 < 2**16 levels: the sort is a radix sort
+        # (level, index) order.  The reflection takes a tie from lead 1 to 0
         climb = up[:-1] & up[1:]
         climb[1:] &= ~up[:-2]
         kept = lead[:m] - np.minimum.accumulate(lead[:m]) >= 2  # decrement lead >= 2

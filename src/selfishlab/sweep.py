@@ -6,7 +6,8 @@ assumed: a coarse scan over the admissible range locates the lowest probed
 alpha that is profitable, and bisection refines the bracket below it.
 ``resistance_sweep`` maps that threshold over a grid of protocol
 parameters, since tenure length and header difficulty determine the round
-intensity and therefore the whole attack model.  It checks its two axes
+intensity and therefore the whole attack model, and returns the rows that
+``selfishlab sweep`` writes, one dict per cell.  It checks its two axes
 and gamma itself, and takes its whole lambda grid from one call of
 ``probmodel.lambda_from_protocol`` on the broadcast axes, which checks
 every protocol triple.
@@ -39,7 +40,6 @@ __all__ = [
     "GRID_POINTS",
     "ALPHA_GUARD",
     "ThresholdResult",
-    "SweepCell",
     "profit_threshold",
     "resistance_sweep",
 ]
@@ -65,16 +65,6 @@ class ThresholdResult:
     alpha_star: float
     bracket: tuple[float, float]
     evaluations: int
-
-
-@dataclass(frozen=True)
-class SweepCell:
-    """One row of the sweep table."""
-
-    tenure: float
-    difficulty: float
-    lam: float
-    alpha_star: float
 
 
 def _thresholds(lams: np.ndarray, gamma: float,
@@ -126,17 +116,19 @@ def profit_threshold(lam: float, gamma: float, tol: float = _TOL) -> ThresholdRe
 
 
 def resistance_sweep(tenures: Sequence[float], difficulties: Sequence[float],
-                     hashrate: float, gamma: float) -> list[SweepCell]:
-    """Threshold table over tenures x difficulties, row-major with tenure outermost.
+                     hashrate: float, gamma: float) -> list[dict[str, float]]:
+    """The rows of the ``sweep`` table, row-major with tenure outermost.
 
-    Each axis must be nonempty and strictly increasing, and gamma in [0, 1];
-    one ``lambda_from_protocol`` call checks every (tenure, difficulty,
-    hashrate) triple and the lam it gives, and raises InvalidParam for the
-    first bad cell in table order, such as one whose lam overflows or
+    One dict per cell with the keys ``tenure``, ``difficulty``, ``lambda``
+    and ``alpha_star``, in that order, and Python-float values.  Each axis
+    must be nonempty and strictly increasing, and gamma in [0, 1]; one
+    ``lambda_from_protocol`` call checks every (tenure, difficulty,
+    hashrate) triple and the lambda it gives, and raises InvalidParam for
+    the first bad cell in table order, such as one whose lambda overflows or
     underflows.  The round intensity is a sufficient statistic for the
-    threshold, so one lock-step search runs over the sorted distinct lam
-    values, at ``profit_threshold``'s default tolerance; cells sharing a lam
-    value share their alpha_star bit for bit.
+    threshold, so one lock-step search runs over the sorted distinct
+    lambdas, at ``profit_threshold``'s default tolerance; rows with the same
+    lambda share their alpha_star bit for bit.
     """
     for name, axis in (("tenures", tenures), ("difficulties", difficulties)):
         if len(axis) == 0:
@@ -148,7 +140,7 @@ def resistance_sweep(tenures: Sequence[float], difficulties: Sequence[float],
     lams = lambda_from_protocol(tenures[:, None], difficulties, hashrate).ravel()
     distinct, cell_lam = np.unique(lams, return_inverse=True)
     alpha_star = _thresholds(distinct, gamma, _TOL)[0][cell_lam]
-    return [SweepCell(tenure=tenure, difficulty=difficulty, lam=lam, alpha_star=star)
+    return [{"tenure": tenure, "difficulty": difficulty, "lambda": lam, "alpha_star": star}
             for (tenure, difficulty), lam, star in zip(
                 itertools.product(tenures.tolist(), difficulties.tolist()),
                 lams.tolist(), alpha_star.tolist())]

@@ -106,25 +106,26 @@ def test_single_cell_reproduces_direct_threshold():
     cells = resistance_sweep((120.0,), (6e7,), 1e6, 0.0)
     assert len(cells) == 1
     cell = cells[0]
-    assert cell.lam == pytest.approx(2.0, rel=1e-12)
-    assert cell.alpha_star == profit_threshold(2.0, 0.0).alpha_star
+    assert cell["lambda"] == pytest.approx(2.0, rel=1e-12)
+    assert cell["alpha_star"] == profit_threshold(2.0, 0.0).alpha_star
 
 
 def test_sweep_order_and_lambda_sufficiency():
     cells = resistance_sweep((60.0, 120.0), (6e7, 1.2e8), 1e6, 0.0)
-    assert [(c.tenure, c.difficulty) for c in cells] == [
+    # the CSV header order
+    assert all(list(c) == ["tenure", "difficulty", "lambda", "alpha_star"] for c in cells)
+    assert [(c["tenure"], c["difficulty"]) for c in cells] == [
         (60.0, 6e7), (60.0, 1.2e8), (120.0, 6e7), (120.0, 1.2e8)]
     # Python floats, not numpy scalars, so the CSV and JSON renderings stay fixed
-    assert all(type(value) is float for c in cells
-               for value in (c.tenure, c.difficulty, c.lam, c.alpha_star))
-    by_pair = {(c.tenure, c.difficulty): c for c in cells}
+    assert all(type(value) is float for c in cells for value in c.values())
+    by_pair = {(c["tenure"], c["difficulty"]): c for c in cells}
     # (60, 6e7) and (120, 1.2e8) share lam = 1 and must share the threshold
-    assert by_pair[(60.0, 6e7)].lam == by_pair[(120.0, 1.2e8)].lam == 1.0
-    assert by_pair[(60.0, 6e7)].alpha_star == by_pair[(120.0, 1.2e8)].alpha_star
+    assert by_pair[(60.0, 6e7)]["lambda"] == by_pair[(120.0, 1.2e8)]["lambda"] == 1.0
+    assert by_pair[(60.0, 6e7)]["alpha_star"] == by_pair[(120.0, 1.2e8)]["alpha_star"]
 
 
 def test_sweep_even_tiebreak_all_zero():
-    assert all(cell.alpha_star == 0.0
+    assert all(cell["alpha_star"] == 0.0
                for cell in resistance_sweep((30.0, 60.0), (3e7, 6e7), 1e6, 0.5))
 
 
@@ -178,7 +179,7 @@ def test_every_sweep_cell_matches_reference(gamma):
               np.sort(_log_uniform(rng, 6e5, 6e9, 8)))]
     for tenures, difficulties in grids:
         for cell in resistance_sweep(tenures, difficulties, 1e6, gamma):
-            assert cell.alpha_star == reference_threshold(cell.lam, gamma).alpha_star
+            assert cell["alpha_star"] == reference_threshold(cell["lambda"], gamma).alpha_star
 
 
 @pytest.mark.parametrize("tol", (1e-8, 1e-6))
